@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from . import core
 from .config import SuspensionConfig
@@ -21,6 +20,7 @@ __all__ = [
     "ForceBreakdown",
     "NoDominantFrequencyError",
     "estimate_peak_frequency",
+    "window_peak_frequencies",
     "run",
 ]
 
@@ -76,19 +76,46 @@ class ForceBreakdown:
     h_gas: np.ndarray | None = field(default=None, repr=False)
 
 
+def window_peak_frequencies(samples: np.ndarray, dt: float, win: int,
+                            hop: int) -> tuple:
+    """Dominant frequency of each window of a signal, from one batched FFT.
+
+    Windows of win samples start every hop samples; the last one is clamped
+    to end at the final sample, and a signal shorter than win is one window
+    of its own length. In each mean-removed window the largest non-DC DFT
+    bin above a small threshold gives the frequency. A window without such
+    a bin takes the previous window's frequency, or the first live
+    window's when none precedes it. Returns (starts, window size, freqs_hz).
+    """
+    n = samples.size
+    if n <= win:
+        win = n
+        starts = np.zeros(1, dtype=np.intp)
+    else:
+        starts = np.append(np.arange(0, n - win, hop), n - win)
+    segs = np.lib.stride_tricks.sliding_window_view(samples, win)[starts]
+    segs -= segs.mean(axis=1, keepdims=True)
+    spectrum = np.abs(np.fft.rfft(segs, axis=1))
+    spectrum[:, 0] = 0.0
+    live = np.any(spectrum > 1e-9 * max(samples.max(), 1.0), axis=1)
+    if not live.any():
+        raise NoDominantFrequencyError("constant signal: no dominant frequency")
+    source = np.maximum.accumulate(np.where(live, np.arange(live.size), -1))
+    source[source < 0] = np.argmax(live)
+    k = np.argmax(spectrum, axis=1)[source]
+    return starts, win, k / (win * dt)
+
+
 def estimate_peak_frequency(trace: PressureTrace) -> float:
     """Frequency of the largest non-DC DFT bin of the mean-removed signal."""
-    x = trace.samples - trace.samples.mean()
-    spectrum = np.abs(np.fft.rfft(x))
-    spectrum[0] = 0.0
-    if not np.any(spectrum > 1e-9 * max(trace.samples.max(), 1.0)):
-        raise NoDominantFrequencyError("constant signal: no dominant frequency")
-    k = int(np.argmax(spectrum))
-    return k / (trace.n * trace.dt)
+    _, _, freqs = window_peak_frequencies(trace.samples, trace.dt, trace.n, trace.n)
+    return float(freqs[0])
 
 
 def lowpass(samples: np.ndarray, dt: float, cutoff_hz: float) -> np.ndarray:
     """Zero-phase 2nd-order Butterworth low-pass, mirroring the bench filter."""
+    from scipy import signal as sp_signal
+
     b, a = sp_signal.butter(2, cutoff_hz, fs=1.0 / dt)
     return sp_signal.filtfilt(b, a, samples)
 

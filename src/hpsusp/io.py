@@ -8,6 +8,7 @@ to parsing precision.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
 ]
 
 _FMT = "%.17g"
+_CHUNK_ROWS = 8192
 
 TRACE_BASE_COLUMNS = ("t_s", "p1_pa")
 TRACE_TRUTH_COLUMNS = ("f_out_truth_n", "v_truth_mps", "h_truth_m")
@@ -35,11 +37,17 @@ class CsvFormatError(ValueError):
 
 
 def _write_rows(path, header, columns):
+    """Header as csv.writer writes it, then %.17g rows ending in CRLF.
+
+    Formatted numbers never need quoting, so each chunk of rows is
+    formatted from native floats with one format string per row.
+    """
+    row_fmt = ",".join([_FMT] * len(columns)) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([_FMT % x for x in row])
+        csv.writer(fh).writerow(header)
+        for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = [c[lo:lo + _CHUNK_ROWS].tolist() for c in columns]
+            fh.writelines(row_fmt % row for row in zip(*chunk))
 
 
 def write_trace_csv(path, trace: OracleTrace) -> None:
@@ -59,7 +67,7 @@ def read_trace_csv(path, t0_temperature: float = 30.0):
     """Read a trace CSV; returns (PressureTrace, truth-column dict).
 
     The sampling period is inferred from the time column and must be
-    uniform to 1 ppm.
+    uniform to 1 ppm; every pressure sample must be positive and finite.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -78,16 +86,21 @@ def read_trace_csv(path, t0_temperature: float = 30.0):
             if len(row) != len(header):
                 raise CsvFormatError(f"{path}:{lineno}: expected {len(header)} fields")
             try:
-                rows.append([float(x) for x in row])
+                values = [float(x) for x in row]
             except ValueError as exc:
                 raise CsvFormatError(f"{path}:{lineno}: non-numeric field") from exc
+            if not 0.0 < values[1] < math.inf:
+                raise CsvFormatError(
+                    f"{path}:{lineno}: pressure must be positive and finite, "
+                    f"got {row[1]!r}")
+            rows.append(values)
     if len(rows) < 2:
         raise CsvFormatError(f"{path}: need at least two data rows")
     data = np.asarray(rows)
     t = data[:, 0]
     steps = np.diff(t)
     dt = float(np.median(steps))
-    if dt <= 0.0 or np.any(np.abs(steps - dt) > 1e-6 * dt):
+    if not dt > 0.0 or not np.all(np.abs(steps - dt) <= 1e-6 * dt):
         raise CsvFormatError(f"{path}: time column is not uniformly sampled")
     trace = PressureTrace(dt=dt, samples=data[:, 1], t0_temperature=t0_temperature)
     truth = {name: data[:, i] for i, name in enumerate(header) if i >= 2}

@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import core, estimator, oracle
 from .config import SuspensionConfig, TableBuildSettings
@@ -205,7 +204,7 @@ def _grid_scatter(pts_p, pts_dp, values, axes):
     mask.
     """
     from scipy.interpolate import LinearNDInterpolator
-    from scipy.spatial import Delaunay
+    from scipy.spatial import Delaunay, cKDTree
 
     p_min, p_max, dp_min, dp_max = axes
     # cell-unit coordinates keep the triangulation well-scaled
@@ -341,35 +340,19 @@ def query(table: LookupTable, p: float, dp: float, omega: float,
     return f_out, v, h
 
 
-def _window_frequencies(samples: np.ndarray, dt: float) -> tuple:
-    """(centers_idx, freqs_hz) from 1 s spectral windows hopped every 0.5 s."""
-    n = samples.size
+def _tracked_omega(samples: np.ndarray, dt: float) -> np.ndarray:
+    """Per-sample blend frequency (rad/s) from 1 s windows hopped every 0.5 s.
+
+    Each sample takes the estimate of the window whose centre is nearest,
+    the earlier window on a tie. Window j spans [s_j, s_j + win), so sample
+    i belongs to window j rather than j + 1 iff 2 i <= s_j + s_{j+1} + win.
+    """
     win = max(int(round(1.0 / dt)), estimator.MIN_TRACE_LEN)
-    hop = max(win // 2, 1)
-    centers, freqs = [], []
-    start = 0
-    while True:
-        stop = min(start + win, n)
-        seg = samples[max(stop - win, 0):stop]
-        x = seg - seg.mean()
-        spec = np.abs(np.fft.rfft(x))
-        spec[0] = 0.0
-        if np.any(spec > 1e-9 * max(samples.max(), 1.0)):
-            k = int(np.argmax(spec))
-            freqs.append(k / (seg.size * dt))
-        else:
-            freqs.append(freqs[-1] if freqs else 0.0)
-        centers.append(0.5 * (max(stop - win, 0) + stop))
-        if stop >= n:
-            break
-        start += hop
-    if not any(f > 0.0 for f in freqs):
-        raise estimator.NoDominantFrequencyError(
-            "constant signal: no dominant frequency in any window")
-    # backfill leading zero-frequency windows from the first live one
-    first = next(f for f in freqs if f > 0.0)
-    freqs = [f if f > 0.0 else first for f in freqs]
-    return np.asarray(centers), np.asarray(freqs)
+    starts, win, freqs = estimator.window_peak_frequencies(
+        samples, dt, win, max(win // 2, 1))
+    last = (starts[:-1] + starts[1:] + win) // 2
+    counts = np.diff(last, prepend=-1, append=samples.size - 1)
+    return np.repeat(2.0 * np.pi * freqs, counts)
 
 
 def estimate_series(trace: estimator.PressureTrace, table: LookupTable,
@@ -378,7 +361,8 @@ def estimate_series(trace: estimator.PressureTrace, table: LookupTable,
 
     omega may be a fixed blend frequency in rad/s or "auto", which tracks
     the dominant frequency over one-second windows hopped every half
-    second and assigns each sample the nearest window's estimate.
+    second and assigns each sample the nearest window's estimate. Both
+    modes run in time and memory linear in the trace length.
     """
     if abs(trace.dt - table.dt) > 1e-9:
         raise TimeBaseError(
@@ -393,9 +377,7 @@ def estimate_series(trace: estimator.PressureTrace, table: LookupTable,
     if isinstance(omega, str):
         if omega != "auto":
             raise ValueError("omega must be a float or 'auto'")
-        centers, freqs = _window_frequencies(p1, trace.dt)
-        nearest_win = np.abs(np.arange(p1.size)[:, None] - centers[None, :]).argmin(axis=1)
-        omega_series = 2.0 * np.pi * freqs[nearest_win]
+        omega_series = _tracked_omega(p1, trace.dt)
     else:
         omega_series = np.full(p1.size, float(omega))
 

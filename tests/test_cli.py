@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -60,6 +63,16 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "estimate", "--trace", str(bad),
                              "--out", str(tmp_path / "o.csv"))
         assert code == 3
+
+    @pytest.mark.parametrize("p_bad", ["-5.0", "nan"])
+    def test_bad_pressure_sample_is_input_error(self, capsys, tmp_path, p_bad):
+        bad = tmp_path / "bad.csv"
+        rows = [f"{i / 360.0!r},{800000.0 + 100.0 * (i % 7)!r}" for i in range(64)]
+        rows[40] = f"{40 / 360.0!r},{p_bad}"
+        bad.write_text("t_s,p1_pa\n" + "\n".join(rows) + "\n")
+        code, _, err = run_cli(capsys, "estimate", "--trace", str(bad),
+                               "--out", str(tmp_path / "o.csv"))
+        assert code == 3 and "input error" in err and ":42:" in err
 
     def test_corrupt_table_is_input_error(self, capsys, trace_file, tmp_path):
         blob = tmp_path / "junk.hplt"
@@ -141,3 +154,13 @@ class TestWorkflows:
                              "--freq", "5", "--amp", "0.005",
                              "--out", str(tmp_path / "t.csv"))
         assert code == 0
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hpsusp.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -76,6 +76,14 @@ class TestTraceValidation:
         with pytest.raises(io.CsvFormatError):
             io.read_trace_csv(path)
 
+    @pytest.mark.parametrize("p_bad", ["0", "-5.0", "nan", "inf"])
+    def test_bad_pressure_sample(self, tmp_path, p_bad):
+        path = self._write(
+            tmp_path / "x.csv",
+            f"t_s,p1_pa\n0,800000\n0.01,800100\n\n0.02,{p_bad}\n")
+        with pytest.raises(io.CsvFormatError, match=r"x\.csv:5: pressure"):
+            io.read_trace_csv(path)
+
     def test_non_uniform_time_base(self, tmp_path):
         path = self._write(
             tmp_path / "x.csv",
@@ -83,8 +91,35 @@ class TestTraceValidation:
         with pytest.raises(io.CsvFormatError):
             io.read_trace_csv(path)
 
+    def test_non_finite_time_base(self, tmp_path):
+        path = self._write(
+            tmp_path / "x.csv",
+            "t_s,p1_pa\n0,800000\nnan,800100\n0.02,800200\n0.03,800300\n")
+        with pytest.raises(io.CsvFormatError, match="not uniformly sampled"):
+            io.read_trace_csv(path)
+
 
 class TestOutputWriters:
+    def test_rows_match_csv_writer_bytes(self, tmp_path):
+        special = [0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1e308,
+                   -1.7976931348623157e308, 1.0 / 3.0, 1e-300, 123456789.0,
+                   float("nan"), float("-inf")]
+        rng = np.random.default_rng(7)
+        n = 2 * io._CHUNK_ROWS + 5  # spans chunk boundaries
+        cols = [np.resize(special, n),
+                rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+                np.arange(n) / 360.0]
+        header = ["a_x", "b_y", "t_s"]
+        path = tmp_path / "rows.csv"
+        io._write_rows(path, header, cols)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in zip(*cols):
+                writer.writerow(["%.17g" % x for x in row])
+        assert path.read_bytes() == ref.read_bytes()
+
     def test_breakdown_csv_columns(self, tmp_path, trace, bench_cfg):
         pt = estimator.PressureTrace(dt=trace.dt, samples=trace.p1,
                                      t0_temperature=30.0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,70 @@ class TestEstimateSeries:
         est = lookup.estimate_series(trace, bench_table, omega="auto")
         tracked_hz = est.omega / (2 * np.pi)
         assert np.median(tracked_hz) == pytest.approx(5.0, abs=0.3)
+
+    @staticmethod
+    def _chirp(table, n):
+        """Pressure chirp 2 -> 9 Hz in the table's range, with a constant head."""
+        g = table.grids[0]
+        t = np.arange(n) * DT
+        span = max(t[-1], DT)
+        phase = 2 * np.pi * (2.0 * t + 3.5 * t ** 2 / span)
+        p = 0.5 * (g.p_min + g.p_max) + 0.2 * (g.p_max - g.p_min) * np.sin(phase)
+        p[:n // 4] = p[n // 4]  # leading windows without a spectral peak
+        return estimator.PressureTrace(dt=DT, samples=p, t0_temperature=30.0)
+
+    @staticmethod
+    def _reference_omega(samples, dt):
+        """Window-by-window spectral peaks and an n x W nearest-centre argmin."""
+        n = samples.size
+        win = max(int(round(1.0 / dt)), estimator.MIN_TRACE_LEN)
+        hop = max(win // 2, 1)
+        centers, freqs, start = [], [], 0
+        while True:
+            stop = min(start + win, n)
+            seg = samples[max(stop - win, 0):stop]
+            spec = np.abs(np.fft.rfft(seg - seg.mean()))
+            spec[0] = 0.0
+            if np.any(spec > 1e-9 * max(samples.max(), 1.0)):
+                freqs.append(int(np.argmax(spec)) / (seg.size * dt))
+            else:
+                freqs.append(freqs[-1] if freqs else 0.0)
+            centers.append(0.5 * (max(stop - win, 0) + stop))
+            if stop >= n:
+                break
+            start += hop
+        first = next(f for f in freqs if f > 0.0)
+        freqs = np.array([f if f > 0.0 else first for f in freqs])
+        centers = np.asarray(centers)
+        nearest = np.abs(np.arange(n)[:, None] - centers[None, :]).argmin(axis=1)
+        return 2.0 * np.pi * freqs[nearest], centers, freqs
+
+    def test_auto_omega_matches_nearest_window_reference(self, bench_table):
+        ties_split = 0
+        for n in (16, 359, 360, 361, 540, 541, 1000, 5000):
+            trace = self._chirp(bench_table, n)
+            est = lookup.estimate_series(trace, bench_table, omega="auto")
+            ref, centers, freqs = self._reference_omega(trace.samples, DT)
+            assert np.array_equal(est.omega, ref), n
+            # samples exactly between two window centres go to the earlier one
+            mids = 0.5 * (centers[:-1] + centers[1:])
+            on_mid = (mids == np.floor(mids)) & (freqs[:-1] != freqs[1:])
+            ties_split += int(np.count_nonzero(on_mid))
+            for j in np.flatnonzero(on_mid):
+                assert est.omega[int(mids[j])] == 2.0 * np.pi * freqs[j]
+        assert ties_split > 0
+
+    def test_auto_omega_memory_is_linear(self, bench_table):
+        n = 72001
+        trace = self._chirp(bench_table, n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            lookup.estimate_series(trace, bench_table, omega="auto")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 256
 
 
 class TestSerialization:
