@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 
@@ -48,18 +49,20 @@ def _add_config_flags(p):
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    if args.duration is not None and args.duration <= 0.0:
-        raise UsageError("--duration must be positive")
+    for name in ("dt", "freq", "duration"):
+        value = getattr(args, name)
+        if value is not None and not 0.0 < value < math.inf:
+            raise UsageError(f"--{name} must be positive and finite")
+    for name in ("amp", "offset"):
+        if not math.isfinite(getattr(args, name)):
+            raise UsageError(f"--{name} must be finite")
     duration = args.duration if args.duration is not None else 20.0 / args.freq
+    exc = oracle.Excitation(kind=args.kind, amplitudes=(args.amp,),
+                            frequencies=(args.freq,), duration=duration,
+                            offset=args.offset)
     if args.quarter_car:
-        road = oracle.Excitation(kind=args.kind, amplitudes=(args.amp,),
-                                 frequencies=(args.freq,), duration=duration,
-                                 offset=args.offset)
-        trace = oracle.simulate_quarter_car(road, cfg.quarter_car, args.dt)
+        trace = oracle.simulate_quarter_car(exc, cfg.quarter_car, args.dt)
     else:
-        exc = oracle.Excitation(kind=args.kind, amplitudes=(args.amp,),
-                                frequencies=(args.freq,), duration=duration,
-                                offset=args.offset)
         trace = oracle.simulate_suspension(exc, cfg.suspension, args.dt)
     io.write_trace_csv(args.out, trace)
     print(f"wrote {trace.p1.size} samples at dt={trace.dt:g} s to {args.out}")
@@ -75,19 +78,12 @@ def cmd_estimate(args) -> int:
         table = lookup.load_table(args.table, cfg.suspension)
         omega = "auto" if args.omega == "auto" else float(args.omega)
         est = lookup.estimate_series(trace, table, omega=omega)
-        f_out, v = est.f_out, est.v
-        bd = None
+        f_out = est.f_out
+        io.write_lookup_csv(args.out, trace, est)
     else:
         bd = estimator.run(trace, cfg.suspension)
-        f_out, v = bd.f_out, bd.v
+        f_out = bd.f_out
         io.write_breakdown_csv(args.out, trace, bd)
-    if args.mode == "lookup":
-        # lookup yields no full breakdown; emit the triplet as a trace-like CSV
-        t = trace.t
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("t_s,f_out_n,v_mps,h_m\n")
-            for row in zip(t, est.f_out, est.v, est.h):
-                fh.write(",".join("%.17g" % x for x in row) + "\n")
     print(f"wrote {args.out}")
     if "f_out_truth_n" in truth:
         rel = metrics.rel_rmse(f_out, truth["f_out_truth_n"])

@@ -41,12 +41,12 @@ class PressureTrace:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
-        if self.dt <= 0.0:
-            raise ValueError("sampling period must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError("sampling period must be positive and finite")
         if self.samples.ndim != 1 or self.samples.size < MIN_TRACE_LEN:
             raise ValueError(f"need a 1-D trace of at least {MIN_TRACE_LEN} samples")
-        if np.any(self.samples <= 0.0):
-            raise ValueError("pressure samples must all be positive")
+        if not np.all((self.samples > 0.0) & (self.samples < np.inf)):
+            raise ValueError("pressure samples must all be positive and finite")
 
     @property
     def n(self) -> int:

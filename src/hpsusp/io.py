@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .estimator import ForceBreakdown, PressureTrace
+from .lookup import SeriesEstimate
 from .oracle import OracleTrace
 from .wheel import WheelLoadSeries
 
@@ -22,6 +23,7 @@ __all__ = [
     "read_trace_csv",
     "write_breakdown_csv",
     "write_wheel_load_csv",
+    "write_lookup_csv",
 ]
 
 _FMT = "%.17g"
@@ -124,3 +126,9 @@ def write_wheel_load_csv(path, dt: float, series: WheelLoadSeries) -> None:
             series.theta, series.beta, series.i_sus, series.z_ddot_t,
             series.f_tire, liftoff]
     _write_rows(path, header, cols)
+
+
+def write_lookup_csv(path, trace: PressureTrace, est: SeriesEstimate) -> None:
+    """Lookup-path output: the (f_out, v, h) triplet per trace sample."""
+    _write_rows(path, ["t_s", "f_out_n", "v_mps", "h_m"],
+                [trace.t, est.f_out, est.v, est.h])

@@ -362,7 +362,8 @@ def estimate_series(trace: estimator.PressureTrace, table: LookupTable,
     omega may be a fixed blend frequency in rad/s or "auto", which tracks
     the dominant frequency over one-second windows hopped every half
     second and assigns each sample the nearest window's estimate. Both
-    modes run in time and memory linear in the trace length.
+    modes run in memory linear in the trace length, and in time linear
+    but for one stable sort of the per-sample frequencies.
     """
     if abs(trace.dt - table.dt) > 1e-9:
         raise TimeBaseError(
@@ -379,13 +380,18 @@ def estimate_series(trace: estimator.PressureTrace, table: LookupTable,
             raise ValueError("omega must be a float or 'auto'")
         omega_series = _tracked_omega(p1, trace.dt)
     else:
+        if not np.isfinite(omega):
+            raise ValueError("omega must be finite")
         omega_series = np.full(p1.size, float(omega))
 
+    # Group the samples by blend frequency once. A stable sort keeps each
+    # group in trace order and is near-linear on the runs that tracking gives.
+    order = np.argsort(omega_series, kind="stable")
+    starts = np.flatnonzero(np.diff(omega_series[order])) + 1
     out = np.empty((p1.size, 3))
-    for w in np.unique(omega_series):
-        mask = omega_series == w
-        cells = _blend_cells(table, float(w))
-        out[mask] = _bilinear(cells, grid0, p1[mask], dp[mask], stats)
+    for idx in np.split(order, starts):
+        cells = _blend_cells(table, float(omega_series[idx[0]]))
+        out[idx] = _bilinear(cells, grid0, p1[idx], dp[idx], stats)
 
     return SeriesEstimate(v=out[:, 1], f_out=out[:, 0], h=out[:, 2],
                           omega=omega_series, stats=stats)

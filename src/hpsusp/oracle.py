@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 
+# output samples per block of road evaluations in simulate_quarter_car
+_ROAD_BLOCK = 256
+
+
 class StrokeError(ValueError):
     """Prescribed excitation exceeds the stroke or empties the gas chamber."""
 
@@ -311,56 +315,71 @@ def simulate_quarter_car(road: Excitation, params: QuarterCarParams,
         i_sus = l_eff * cos_b / (l_low * cos_at)
         return f_gas + f_damp + f_fric, p1, p2, h_abs, v_sus, i_sus
 
-    def deriv(t, state):
-        z_s, w_s, z_t, w_t = state
+    def accel(z_s, w_s, z_t, w_t, zg, zg_dot):
+        """Sprung and unsprung accelerations at one state and road value."""
         f_out, _, _, _, _, i_sus = suspension_axial(z_t - z_s, w_t - w_s)
-        zg = road_disp(t)
-        zg_dot = road_vel(t)
         f_tire = k_t * (zg - z_t + delta_tire0) + c_t * (zg_dot - w_t)
-        return (w_s,
-                (i_sus * f_out - m_s * g) / m_s,
-                w_t,
+        return ((i_sus * f_out - m_s * g) / m_s,
                 (f_tire - i_sus * f_out - m_u * g) / m_u)
-
-    road_disp = lambda t: float(road.displacement(t))
-    road_vel = lambda t: float(road.velocity(t))
 
     n_out = int(round(duration / dt)) + 1
     sub = 4
     h_step = dt / sub
+    half = 0.5 * h_step
+    sixth = h_step / 6.0
     z_limit = 10.0 * max(delta_tire0, abs(h_static)) + 1.0
 
     out = {name: np.empty(n_out) for name in
            ("z_s", "w_s", "z_t", "w_t", "z_g", "p1", "p2", "h", "v",
             "f_out", "f_tire")}
-    state = (0.0, 0.0, 0.0, 0.0)
+    z_s = w_s = z_t = w_t = 0.0
     t = 0.0
-    for i in range(n_out):
-        z_s, w_s, z_t, w_t = state
-        if not all(math.isfinite(x) for x in state) or max(abs(z_s), abs(z_t)) > z_limit:
-            raise InstabilityError(f"quarter-car integration diverged at step {i} (t={t:.4f}s)")
-        f_out, p1, p2, h_abs, v_sus, i_sus = suspension_axial(z_t - z_s, w_t - w_s)
-        zg = road_disp(t)
-        f_tire = k_t * (zg - z_t + delta_tire0) + c_t * (road_vel(t) - w_t)
-        out["z_s"][i], out["w_s"][i] = z_s, w_s
-        out["z_t"][i], out["w_t"][i] = z_t, w_t
-        out["z_g"][i] = zg
-        out["p1"][i], out["p2"][i] = p1, p2
-        out["h"][i], out["v"][i] = h_abs, v_sus
-        out["f_out"][i], out["f_tire"][i] = f_out, f_tire
-        if i == n_out - 1:
-            break
-        for _ in range(sub):
-            k1 = deriv(t, state)
-            s2 = tuple(x + 0.5 * h_step * k for x, k in zip(state, k1))
-            k2 = deriv(t + 0.5 * h_step, s2)
-            s3 = tuple(x + 0.5 * h_step * k for x, k in zip(state, k2))
-            k3 = deriv(t + 0.5 * h_step, s3)
-            s4 = tuple(x + h_step * k for x, k in zip(state, k3))
-            k4 = deriv(t + h_step, s4)
-            state = tuple(x + h_step / 6.0 * (a + 2 * b + 2 * c + d)
-                          for x, a, b, c, d in zip(state, k1, k2, k3, k4))
+    for i0 in range(0, n_out, _ROAD_BLOCK):
+        # Stage times of the block's steps, accumulated step by step so they
+        # carry the same rounding as a running clock; ts[-1] starts the next
+        # block. The road is then evaluated once per block on arrays.
+        n_steps = (min(i0 + _ROAD_BLOCK, n_out - 1) - i0) * sub
+        ts = [t]
+        for _ in range(n_steps):
             t += h_step
+            ts.append(t)
+        tm = [x + half for x in ts[:-1]]
+        zg_at, zv_at = road.displacement(ts).tolist(), road.velocity(ts).tolist()
+        zg_mid, zv_mid = road.displacement(tm).tolist(), road.velocity(tm).tolist()
+
+        for i in range(i0, min(i0 + _ROAD_BLOCK, n_out)):
+            j0 = (i - i0) * sub
+            if not (math.isfinite(z_s) and math.isfinite(w_s) and math.isfinite(z_t)
+                    and math.isfinite(w_t)) or max(abs(z_s), abs(z_t)) > z_limit:
+                raise InstabilityError(
+                    f"quarter-car integration diverged at step {i} (t={ts[j0]:.4f}s)")
+            f_out, p1, p2, h_abs, v_sus, i_sus = suspension_axial(z_t - z_s, w_t - w_s)
+            zg = zg_at[j0]
+            f_tire = k_t * (zg - z_t + delta_tire0) + c_t * (zv_at[j0] - w_t)
+            out["z_s"][i], out["w_s"][i] = z_s, w_s
+            out["z_t"][i], out["w_t"][i] = z_t, w_t
+            out["z_g"][i] = zg
+            out["p1"][i], out["p2"][i] = p1, p2
+            out["h"][i], out["v"][i] = h_abs, v_sus
+            out["f_out"][i], out["f_tire"][i] = f_out, f_tire
+            if i == n_out - 1:
+                break
+            for j in range(j0, j0 + sub):
+                # classical RK4; the position slopes are the velocities
+                a1s, a1t = accel(z_s, w_s, z_t, w_t, zg_at[j], zv_at[j])
+                v2s, v2t = w_s + half * a1s, w_t + half * a1t
+                a2s, a2t = accel(z_s + half * w_s, v2s, z_t + half * w_t, v2t,
+                                 zg_mid[j], zv_mid[j])
+                v3s, v3t = w_s + half * a2s, w_t + half * a2t
+                a3s, a3t = accel(z_s + half * v2s, v3s, z_t + half * v2t, v3t,
+                                 zg_mid[j], zv_mid[j])
+                v4s, v4t = w_s + h_step * a3s, w_t + h_step * a3t
+                a4s, a4t = accel(z_s + h_step * v3s, v4s, z_t + h_step * v3t, v4t,
+                                 zg_at[j + 1], zv_at[j + 1])
+                z_s += sixth * (w_s + 2 * v2s + 2 * v3s + v4s)
+                w_s += sixth * (a1s + 2 * a2s + 2 * a3s + a4s)
+                z_t += sixth * (w_t + 2 * v2t + 2 * v3t + v4t)
+                w_t += sixth * (a1t + 2 * a2t + 2 * a3t + a4t)
 
     return OracleTrace(dt=dt, h=out["h"], p1=out["p1"], p2=out["p2"],
                        f_out=out["f_out"], v=out["v"],

@@ -82,6 +82,21 @@ class TestExitCodes:
                              "--out", str(tmp_path / "o.csv"))
         assert code == 3
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--dt", "0"), ("--dt", "-1"), ("--dt", "nan"), ("--dt", "inf"),
+        ("--freq", "0"), ("--freq", "nan"), ("--duration", "nan"),
+        ("--amp", "nan"), ("--amp", "inf"), ("--offset", "nan"),
+    ])
+    def test_bad_simulate_number_is_usage_error(self, capsys, tmp_path,
+                                                 flag, value):
+        argv = {"--freq": "5", "--amp": "0.005"}
+        argv[flag] = value
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "simulate", "--out", str(out),
+                               *(x for kv in argv.items() for x in kv))
+        assert code == 2 and f"usage error: {flag} must be" in err
+        assert not out.exists()
+
     def test_overstroke_is_numerical_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--freq", "5", "--amp",
                                "0.2", "--out", str(tmp_path / "x.csv"))

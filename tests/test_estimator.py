@@ -141,3 +141,14 @@ class TestPressureTrace:
         with pytest.raises(ValueError):
             estimator.PressureTrace(dt=0.0, samples=np.full(64, 1e6),
                                     t0_temperature=30.0)
+
+    def test_rejects_nan_sample(self):
+        samples = np.full(400, 1e6)
+        samples[123] = np.nan
+        with pytest.raises(ValueError, match="positive and finite"):
+            estimator.PressureTrace(dt=DT, samples=samples, t0_temperature=30.0)
+
+    def test_rejects_nan_dt(self):
+        with pytest.raises(ValueError, match="sampling period"):
+            estimator.PressureTrace(dt=float("nan"), samples=np.full(400, 1e6),
+                                    t0_temperature=30.0)

@@ -7,7 +7,7 @@ import csv
 import numpy as np
 import pytest
 
-from hpsusp import estimator, io, oracle, wheel
+from hpsusp import estimator, io, lookup, oracle, wheel
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +119,21 @@ class TestOutputWriters:
             for row in zip(*cols):
                 writer.writerow(["%.17g" % x for x in row])
         assert path.read_bytes() == ref.read_bytes()
+
+    def test_lookup_csv_matches_csv_writer_bytes(self, tmp_path, trace, bench_table):
+        pt = estimator.PressureTrace(dt=trace.dt, samples=trace.p1,
+                                     t0_temperature=30.0)
+        est = lookup.estimate_series(pt, bench_table, omega="auto")
+        path = tmp_path / "lookup.csv"
+        io.write_lookup_csv(path, pt, est)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t_s", "f_out_n", "v_mps", "h_m"])
+            for row in zip(pt.t, est.f_out, est.v, est.h):
+                writer.writerow(["%.17g" % x for x in row])
+        assert path.read_bytes() == ref.read_bytes()
+        assert path.read_bytes().count(b"\r\n") == pt.n + 1
 
     def test_breakdown_csv_columns(self, tmp_path, trace, bench_cfg):
         pt = estimator.PressureTrace(dt=trace.dt, samples=trace.p1,

@@ -200,6 +200,37 @@ class TestEstimateSeries:
                 assert est.omega[int(mids[j])] == 2.0 * np.pi * freqs[j]
         assert ties_split > 0
 
+    def test_blend_groups_match_per_mask_reference(self, bench_table):
+        # a 3 -> 120 Hz chirp is tracked at ~100 distinct blend frequencies
+        g = bench_table.grids[0]
+        t = np.arange(21601) * DT
+        phase = 2 * np.pi * (3.0 * t + 117.0 * t ** 2 / (2.0 * t[-1]))
+        p = 0.5 * (g.p_min + g.p_max) + 0.3 * (g.p_max - g.p_min) * np.sin(phase)
+        trace = estimator.PressureTrace(dt=DT, samples=p, t0_temperature=30.0)
+        est = lookup.estimate_series(trace, bench_table, omega="auto")
+        assert np.unique(est.omega).size > 100
+
+        dp = np.empty_like(p)
+        dp[1:] = np.diff(p)
+        dp[0] = dp[1]
+        stats = lookup.QueryStats()
+        ref = np.empty((p.size, 3))
+        for w in np.unique(est.omega):
+            mask = est.omega == w
+            ref[mask] = lookup._bilinear(lookup._blend_cells(bench_table, float(w)),
+                                         g, p[mask], dp[mask], stats)
+        assert np.array_equal(est.f_out, ref[:, 0])
+        assert np.array_equal(est.v, ref[:, 1])
+        assert np.array_equal(est.h, ref[:, 2])
+        assert est.stats == stats
+        assert stats.p_clamped + stats.dp_clamped > 0
+
+    def test_non_finite_fixed_omega_rejected(self, bench_table):
+        trace = estimator.PressureTrace(dt=DT, samples=np.full(64, 1.0e6),
+                                        t0_temperature=30.0)
+        with pytest.raises(ValueError, match="omega must be finite"):
+            lookup.estimate_series(trace, bench_table, omega=float("nan"))
+
     def test_auto_omega_memory_is_linear(self, bench_table):
         n = 72001
         trace = self._chirp(bench_table, n)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hpsusp import config, oracle
+from hpsusp import config, core, oracle
 from hpsusp.config import GRAVITY
 
 DT = 1.0 / 360.0
@@ -143,3 +147,186 @@ class TestQuarterCar:
                                  frequencies=(8.0,), duration=4.0)
         with pytest.raises(oracle.InstabilityError):
             oracle.simulate_quarter_car(road, truck.quarter_car, DT)
+
+
+# Reference: the quarter-car stepping loop as first written, evaluating the
+# road through 0-d numpy calls at every RK4 stage. The block-wise loop in
+# oracle.simulate_quarter_car must reproduce it bit for bit.
+def _reference_quarter_car(road, params, dt, duration=None):
+    link, cfg = params.link, params.cfg
+    geom, fluid, charge, fric = cfg.geom, cfg.fluid, cfg.charge, cfg.friction
+    if duration is None:
+        duration = road.duration
+    n_eff = core.effective_polytropic_index(2.0 * np.pi * road.primary_frequency,
+                                            charge, fluid)
+    i0 = link.static_ratio()
+    h_static = oracle.static_gas_offset(cfg, params.m_s * link.g / i0, n_eff)
+    delta_tire0 = (params.m_s + params.m_u) * link.g / params.k_t
+    m_s, m_u, k_t, c_t, g = params.m_s, params.m_u, params.k_t, params.c_t, link.g
+    l_low, l_eff = link.l_lower, link.l_eff
+    alpha0, beta0, k_beta = link.alpha0, link.beta0, link.k_beta
+    sin_a0 = math.sin(alpha0)
+    v0_gas, a1, a3 = geom.v0_gas, geom.a1, geom.a3
+    c_lin = (128.0 * fluid.mu * geom.l_ch / (math.pi * geom.d_ch ** 4)
+             + 12.0 * fluid.mu * geom.l_piston / (geom.h_gap ** 3 * math.pi * geom.d_piston))
+    k_orif_coef = geom.k_orif * fluid.rho / 2.0
+    a_comp, a_ext = geom.a_ch + geom.a_check, geom.a_ch
+    fc, fs, vsb, bf, kv = fric.f_coulomb, fric.f_static, fric.v_stribeck, \
+        fric.beta_fric, fric.k_v
+
+    def suspension_axial(z_rel, zdot_rel):
+        s = sin_a0 + z_rel / l_low
+        if not -1.0 < s < 1.0:
+            raise oracle.InstabilityError("linkage geometry inverted")
+        theta = math.asin(s) - alpha0
+        beta = beta0 + k_beta * theta
+        cos_b = math.cos(beta)
+        cos_at = math.cos(alpha0 + theta)
+        h_abs = h_static + l_eff * theta / cos_b
+        v_sus = zdot_rel * l_eff / (l_low * cos_at * cos_b)
+        v_gas = v0_gas - a1 * h_abs
+        if v_gas <= 0.0:
+            raise oracle.InstabilityError("gas chamber volume exhausted")
+        p1 = charge.p0 * (v0_gas / v_gas) ** n_eff
+        q = a3 * v_sus
+        a_eff = a_comp if q > 0.0 else a_ext
+        dp = c_lin * q + k_orif_coef * q * abs(q) / (a_eff * a_eff)
+        p2 = p1 - dp
+        f_gas = (p1 - fluid.p_atm) * a1 - (p2 - fluid.p_atm) * geom.a2
+        if cfg.use_alg1_friction:
+            f_fric = (fc + (fs - fc) * math.exp(-(v_sus / vsb) ** 2)) * math.tanh(bf * v_sus)
+        else:
+            f_fric = (fc + (fs - fc) * math.exp(-abs(v_sus) / vsb)) * math.tanh(bf * v_sus) \
+                + kv * v_sus
+        i_sus = l_eff * cos_b / (l_low * cos_at)
+        return f_gas + dp * a3 + f_fric, p1, p2, h_abs, v_sus, i_sus
+
+    def deriv(t, state):
+        z_s, w_s, z_t, w_t = state
+        f_out, _, _, _, _, i_sus = suspension_axial(z_t - z_s, w_t - w_s)
+        f_tire = (k_t * (float(road.displacement(t)) - z_t + delta_tire0)
+                  + c_t * (float(road.velocity(t)) - w_t))
+        return (w_s, (i_sus * f_out - m_s * g) / m_s,
+                w_t, (f_tire - i_sus * f_out - m_u * g) / m_u)
+
+    n_out = int(round(duration / dt)) + 1
+    sub = 4
+    h_step = dt / sub
+    z_limit = 10.0 * max(delta_tire0, abs(h_static)) + 1.0
+    out = np.empty((11, n_out))
+    state = (0.0, 0.0, 0.0, 0.0)
+    t = 0.0
+    for i in range(n_out):
+        z_s, w_s, z_t, w_t = state
+        if not all(math.isfinite(x) for x in state) or max(abs(z_s), abs(z_t)) > z_limit:
+            raise oracle.InstabilityError(
+                f"quarter-car integration diverged at step {i} (t={t:.4f}s)")
+        f_out, p1, p2, h_abs, v_sus, _ = suspension_axial(z_t - z_s, w_t - w_s)
+        zg = float(road.displacement(t))
+        f_tire = k_t * (zg - z_t + delta_tire0) + c_t * (float(road.velocity(t)) - w_t)
+        out[:, i] = (z_s, w_s, z_t, w_t, zg, p1, p2, h_abs, v_sus, f_out, f_tire)
+        if i == n_out - 1:
+            break
+        for _ in range(sub):
+            k1 = deriv(t, state)
+            s2 = tuple(x + 0.5 * h_step * k for x, k in zip(state, k1))
+            k2 = deriv(t + 0.5 * h_step, s2)
+            s3 = tuple(x + 0.5 * h_step * k for x, k in zip(state, k2))
+            k3 = deriv(t + 0.5 * h_step, s3)
+            s4 = tuple(x + h_step * k for x, k in zip(state, k3))
+            k4 = deriv(t + h_step, s4)
+            state = tuple(x + h_step / 6.0 * (a + 2 * b + 2 * c + d)
+                          for x, a, b, c, d in zip(state, k1, k2, k3, k4))
+            t += h_step
+    return out
+
+
+def _channels(run):
+    return np.stack([run.z_s, run.zdot_s, run.z_t, run.zdot_t, run.z_g, run.p1,
+                     run.p2, run.h, run.v, run.f_out, run.f_tire_truth])
+
+
+class TestQuarterCarBlockwiseRoad:
+    BLOCK = oracle._ROAD_BLOCK
+
+    @pytest.mark.parametrize("n_out", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_bit_identical_to_per_stage_loop(self, truck, n_out):
+        road = oracle.Excitation(kind="sinusoid", amplitudes=(2e-3,),
+                                 frequencies=(8.0,), duration=20.0)
+        duration = (n_out - 1) * DT
+        run = oracle.simulate_quarter_car(road, truck.quarter_car, DT, duration=duration)
+        assert run.p1.size == n_out
+        ref = _reference_quarter_car(road, truck.quarter_car, DT, duration=duration)
+        assert np.array_equal(_channels(run), ref)
+
+    def test_bit_identical_on_offset_sweep(self, truck):
+        road = oracle.Excitation(kind="linear-sweep", amplitudes=(3e-3,),
+                                 frequencies=(1.0, 8.0), duration=20.0, offset=1e-3)
+        duration = 2 * self.BLOCK * DT
+        run = oracle.simulate_quarter_car(road, truck.quarter_car, DT, duration=duration)
+        ref = _reference_quarter_car(road, truck.quarter_car, DT, duration=duration)
+        assert np.array_equal(_channels(run), ref)
+
+    @pytest.mark.parametrize("case, message", [
+        # a slow 5 m road lifts the whole car past the divergence limit
+        ("diverged", "diverged at step 616 "),
+        ("inverted", "linkage geometry inverted"),
+        ("exhausted", "gas chamber volume exhausted"),
+    ])
+    def test_instability_reported_as_reference(self, truck, case, message):
+        qc, dt, duration = truck.quarter_car, DT, 3.0
+        if case == "diverged":
+            road = oracle.Excitation(kind="sinusoid", amplitudes=(5.0,),
+                                     frequencies=(0.05,), duration=400.0)
+        elif case == "inverted":
+            road = oracle.Excitation(kind="sinusoid", amplitudes=(0.5,),
+                                     frequencies=(8.0,), duration=4.0)
+        else:
+            # a 100x longer linkage tolerates the stroke that an unstable
+            # step size (0.5 s) builds up, until the gas chamber empties
+            link = dataclasses.replace(qc.link, l_lower=100 * qc.link.l_lower,
+                                       l_eff=100 * qc.link.l_eff)
+            qc, dt, duration = dataclasses.replace(qc, link=link), 0.5, None
+            road = oracle.Excitation(kind="sinusoid", amplitudes=(2e-3,),
+                                     frequencies=(1.0,), duration=200.0)
+        with pytest.raises(oracle.InstabilityError, match=message) as got:
+            oracle.simulate_quarter_car(road, qc, dt, duration=duration)
+        with pytest.raises(oracle.InstabilityError) as want:
+            _reference_quarter_car(road, qc, dt, duration=duration)
+        assert str(got.value) == str(want.value)
+
+    def test_road_evaluated_per_block(self, truck):
+        sizes = []
+
+        class RecordingRoad(oracle.Excitation):
+            def displacement(self, t):
+                sizes.append(np.size(t))
+                return super().displacement(t)
+
+            def velocity(self, t):
+                sizes.append(np.size(t))
+                return super().velocity(t)
+
+        road = RecordingRoad(kind="sinusoid", amplitudes=(2e-3,),
+                             frequencies=(8.0,), duration=40.0)
+        run = oracle.simulate_quarter_car(road, truck.quarter_car, DT)
+        assert run.p1.size == 14401
+        # two stage-time arrays (step ends, midpoints), each evaluated for
+        # displacement and velocity, once per block of output samples
+        assert len(sizes) == 4 * -(-run.p1.size // self.BLOCK)
+        assert max(sizes) <= 4 * self.BLOCK + 1
+
+    def test_memory_is_linear(self, truck):
+        # tracemalloc traces every float the RK4 creates (~40x slower), so
+        # this runs at four blocks; a whole-trace road measures ~890 B/sample
+        road = oracle.Excitation(kind="sinusoid", amplitudes=(2e-3,),
+                                 frequencies=(8.0,), duration=20.0)
+        n_out = 4 * self.BLOCK + 1
+        tracemalloc.start()
+        try:
+            oracle.simulate_quarter_car(road, truck.quarter_car, DT,
+                                        duration=(n_out - 1) * DT)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / n_out < 512.0
