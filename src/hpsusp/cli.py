@@ -47,18 +47,50 @@ def _add_config_flags(p):
                    help="oil/gas operating temperature, degC")
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise ValueError(text)
+    return value
+
+
+def _omega_arg(text: str):
+    """--omega: 'auto' or a positive finite blend frequency in rad/s."""
+    if text == "auto":
+        return text
+    try:
+        return _positive_float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be 'auto' or a positive finite number, got {text!r}") from None
+
+
+def _frequencies_arg(text: str) -> tuple:
+    """--frequencies: comma-separated positive finite Hz values."""
+    try:
+        return tuple(_positive_float(f) for f in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated positive finite numbers, got {text!r}") from None
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    for name in ("dt", "freq", "duration"):
+    for name in ("dt", "freq", "freq_end", "duration"):
         value = getattr(args, name)
         if value is not None and not 0.0 < value < math.inf:
-            raise UsageError(f"--{name} must be positive and finite")
+            raise UsageError(f"--{name.replace('_', '-')} must be positive and finite")
     for name in ("amp", "offset"):
         if not math.isfinite(getattr(args, name)):
             raise UsageError(f"--{name} must be finite")
-    duration = args.duration if args.duration is not None else 20.0 / args.freq
+    if args.kind == "linear-sweep" and args.freq_end is None:
+        raise UsageError("--kind linear-sweep requires --freq-end")
+    if args.kind != "linear-sweep" and args.freq_end is not None:
+        raise UsageError("--freq-end applies only to --kind linear-sweep")
+    freqs = (args.freq,) if args.freq_end is None else (args.freq, args.freq_end)
+    duration = args.duration if args.duration is not None else 20.0 / min(freqs)
     exc = oracle.Excitation(kind=args.kind, amplitudes=(args.amp,),
-                            frequencies=(args.freq,), duration=duration,
+                            frequencies=freqs, duration=duration,
                             offset=args.offset)
     if args.quarter_car:
         trace = oracle.simulate_quarter_car(exc, cfg.quarter_car, args.dt)
@@ -76,8 +108,7 @@ def cmd_estimate(args) -> int:
         if not args.table:
             raise UsageError("lookup mode requires --table")
         table = lookup.load_table(args.table, cfg.suspension)
-        omega = "auto" if args.omega == "auto" else float(args.omega)
-        est = lookup.estimate_series(trace, table, omega=omega)
+        est = lookup.estimate_series(trace, table, omega=args.omega)
         f_out = est.f_out
         io.write_lookup_csv(args.out, trace, est)
     else:
@@ -96,9 +127,8 @@ def cmd_build_table(args) -> int:
     cfg = _load_config(args)
     settings = cfg.table
     if args.frequencies:
-        freqs = tuple(float(f) for f in args.frequencies.split(","))
         settings = config.TableBuildSettings(
-            frequencies_hz=freqs, dt=settings.dt,
+            frequencies_hz=args.frequencies, dt=settings.dt,
             n_amplitudes=settings.n_amplitudes,
             amplitude_scale=settings.amplitude_scale,
             static_force_n=settings.static_force_n)
@@ -116,11 +146,10 @@ def cmd_wheel_load(args) -> int:
     cfg = _load_config(args)
     trace, truth = io.read_trace_csv(args.trace, t0_temperature=args.t0)
     table = lookup.load_table(args.table, cfg.suspension)
-    omega = "auto" if args.omega == "auto" else float(args.omega)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", wheel.WheelLiftoffWarning)
         series = wheel.estimate_wheel_load_series(trace, table, cfg.linkage,
-                                                  omega=omega)
+                                                  omega=args.omega)
     io.write_wheel_load_csv(args.out, trace.dt, series)
     print(f"wrote {args.out}: {series.f_tire.size} samples, "
           f"{series.liftoff_count} liftoff sample(s)")
@@ -169,7 +198,10 @@ def build_parser() -> _Parser:
     _add_config_flags(p)
     p.add_argument("--kind", default="sinusoid",
                    choices=("sinusoid", "sum-of-sines", "linear-sweep"))
-    p.add_argument("--freq", type=float, required=True, help="Hz")
+    p.add_argument("--freq", type=float, required=True,
+                   help="Hz (start frequency of a linear sweep)")
+    p.add_argument("--freq-end", type=float, metavar="HZ",
+                   help="end frequency; required with --kind linear-sweep")
     p.add_argument("--amp", type=float, required=True, help="m")
     p.add_argument("--duration", type=float, help="s (default: 20 cycles)")
     p.add_argument("--offset", type=float, default=0.0, help="m")
@@ -184,14 +216,15 @@ def build_parser() -> _Parser:
     p.add_argument("--trace", required=True)
     p.add_argument("--mode", default="iterative", choices=("iterative", "lookup"))
     p.add_argument("--table", help="table file (lookup mode)")
-    p.add_argument("--omega", default="auto",
+    p.add_argument("--omega", default="auto", type=_omega_arg,
                    help="blend frequency in rad/s, or 'auto'")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("build-table", help="offline lookup-table generation")
     _add_config_flags(p)
-    p.add_argument("--frequencies", help="comma-separated Hz list override")
+    p.add_argument("--frequencies", type=_frequencies_arg,
+                   help="comma-separated Hz list override")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_table)
 
@@ -199,7 +232,8 @@ def build_parser() -> _Parser:
     _add_config_flags(p)
     p.add_argument("--trace", required=True)
     p.add_argument("--table", required=True)
-    p.add_argument("--omega", default="auto")
+    p.add_argument("--omega", default="auto", type=_omega_arg,
+                   help="blend frequency in rad/s, or 'auto'")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_wheel_load)
 
@@ -212,7 +246,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("validate", help="run the full validation campaign")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_validate)
 
     return parser

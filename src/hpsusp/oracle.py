@@ -62,8 +62,8 @@ class Excitation:
     def __post_init__(self):
         if self.kind not in ("sinusoid", "sum-of-sines", "linear-sweep"):
             raise ValueError(f"unknown excitation kind {self.kind!r}")
-        if self.duration <= 0.0:
-            raise ValueError("duration must be positive")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError("duration must be positive and finite")
         if not self.phases:
             object.__setattr__(self, "phases", tuple(0.0 for _ in self.amplitudes))
         if self.kind == "linear-sweep" and len(self.frequencies) != 2:

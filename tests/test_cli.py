@@ -179,3 +179,59 @@ def test_cli_import_loads_no_scipy():
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+class TestFlagValues:
+    @pytest.mark.parametrize("argv", [
+        ("estimate", "--omega", "abc"),
+        ("estimate", "--omega", "nan"),
+        ("estimate", "--omega", "-3"),
+        ("wheel-load", "--table", "t.hplt", "--omega", "abc"),
+        ("wheel-load", "--table", "t.hplt", "--omega", "0"),
+    ])
+    def test_bad_omega_is_usage_error(self, capsys, tmp_path, argv):
+        code, _, err = run_cli(capsys, *argv, "--trace", "x.csv",
+                               "--out", str(tmp_path / "o.csv"))
+        assert code == 2 and "argument --omega: must be 'auto'" in err
+
+    @pytest.mark.parametrize("freqs", ["3,x", "3,-1", "3,inf", "3,,5"])
+    def test_bad_frequencies_is_usage_error(self, capsys, tmp_path, freqs):
+        out = tmp_path / "t.hplt"
+        code, _, err = run_cli(capsys, "build-table", "--frequencies", freqs,
+                               "--out", str(out))
+        assert code == 2 and "argument --frequencies: must be" in err
+        assert not out.exists()
+
+    def test_linear_sweep_writes_trace(self, capsys, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code, text, _ = run_cli(capsys, "simulate", "--kind", "linear-sweep",
+                                "--freq", "3", "--freq-end", "8", "--amp",
+                                "0.005", "--out", str(out))
+        assert code == 0 and "wrote 2401 samples" in text
+        data = np.genfromtxt(out, delimiter=",", names=True)
+        assert data.size == 2401 and np.all(data["p1_pa"] > 0.0)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--kind", "linear-sweep"), "--kind linear-sweep requires --freq-end"),
+        (("--freq-end", "8"), "--freq-end applies only to --kind linear-sweep"),
+        (("--kind", "sum-of-sines", "--freq-end", "8"),
+         "--freq-end applies only to --kind linear-sweep"),
+        (("--kind", "linear-sweep", "--freq-end", "nan"),
+         "--freq-end must be positive and finite"),
+        (("--kind", "linear-sweep", "--freq-end", "0"),
+         "--freq-end must be positive and finite"),
+    ])
+    def test_freq_end_misuse_is_usage_error(self, capsys, tmp_path, argv,
+                                            message):
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "simulate", "--freq", "3", "--amp",
+                               "0.005", *argv, "--out", str(out))
+        assert code == 2 and f"usage error: {message}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--config", "run.cfg"), ("--preset", "mining-truck"), ("--t0", "50"),
+    ])
+    def test_validate_takes_no_config_flags(self, capsys, flag, value):
+        code, _, err = run_cli(capsys, "validate", flag, value)
+        assert code == 2 and "unrecognized arguments" in err

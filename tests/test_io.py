@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -156,3 +158,154 @@ class TestOutputWriters:
         assert data.size == series.f_tire.size
         np.testing.assert_allclose(data["f_tire_n"], series.f_tire, rtol=1e-15)
         assert set(np.unique(data["liftoff_flag"])) <= {0.0, 1.0}
+
+
+def _reference_rows(path):
+    """The csv.reader + float() parser read_trace_csv used before np.loadtxt."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [[float(x) for x in row] for row in reader if row]
+    return header, np.asarray(rows)
+
+
+class TestLoadtxtIngest:
+    @pytest.fixture()
+    def lines(self, tmp_path, trace):
+        path = tmp_path / "trace.csv"
+        io.write_trace_csv(path, trace)
+        return path.read_bytes().split(b"\r\n")[:-1]
+
+    @pytest.mark.parametrize("variant", ["lf", "crlf", "blank-lines", "quoted"])
+    def test_matches_reference_parser(self, tmp_path, trace, lines, variant):
+        if variant == "lf":
+            text = b"\n".join(lines) + b"\n"
+        elif variant == "crlf":
+            text = b"\r\n".join(lines) + b"\r\n"
+        elif variant == "blank-lines":
+            text = b"\n\n".join(lines[:50]) + b"\n\r\n" + b"\n".join(lines[50:])
+        else:
+            text = b"\n".join([lines[0]] + [
+                b",".join(b'"' + f + b'"' for f in line.split(b","))
+                for line in lines[1:]])
+        path = tmp_path / f"{variant}.csv"
+        path.write_bytes(text)
+        header, ref = _reference_rows(path)
+        back, truth = io.read_trace_csv(path)
+        assert ref.shape == (trace.p1.size, len(header))
+        assert np.array_equal(back.samples, ref[:, 1])
+        assert back.dt == float(np.median(np.diff(ref[:, 0])))
+        for i, name in enumerate(header[2:], start=2):
+            assert np.array_equal(truth[name], ref[:, i])
+
+    def _write(self, path, text):
+        path.write_text(text)
+        return path
+
+    def test_hash_line_is_not_a_comment(self, tmp_path):
+        path = self._write(tmp_path / "x.csv",
+                           "t_s,p1_pa\n0,800000\n# note\n0.01,800100\n")
+        with pytest.raises(io.CsvFormatError, match=r"x\.csv:3: expected 2 fields"):
+            io.read_trace_csv(path)
+        path = self._write(tmp_path / "x.csv",
+                           "t_s,p1_pa\n0,800000\n#0.01,800100\n")
+        with pytest.raises(io.CsvFormatError, match=r"x\.csv:3: non-numeric field"):
+            io.read_trace_csv(path)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("0.02", "expected 3 fields"),
+        ("0.02,800200,1,2", "expected 3 fields"),
+        ("0.02,oops,1", "non-numeric field"),
+        ("0.02,800200,1_000", "non-numeric field"),
+        ("0.02,800200,", "non-numeric field"),
+    ])
+    def test_bad_row_names_physical_line(self, tmp_path, bad, message):
+        path = self._write(
+            tmp_path / "x.csv",
+            f"t_s,p1_pa,h_truth_m\n0,800000,1\n\n0.01,800100,1\r\n\n{bad}\n"
+            "0.03,800300,1\n")
+        with pytest.raises(io.CsvFormatError, match=rf"x\.csv:6: {message}"):
+            io.read_trace_csv(path)
+
+    def test_first_row_with_wrong_width_is_ragged(self, tmp_path):
+        # loadtxt only checks that rows agree with each other
+        path = self._write(tmp_path / "x.csv",
+                           "t_s,p1_pa,h_truth_m\n0,800000\n0.01,800100\n")
+        with pytest.raises(io.CsvFormatError, match=r"x\.csv:2: expected 3 fields"):
+            io.read_trace_csv(path)
+
+    @pytest.mark.parametrize("text", ["t_s,p1_pa\n", "t_s,p1_pa\n\n\n"])
+    def test_header_only_raises_without_warning(self, tmp_path, text):
+        path = self._write(tmp_path / "x.csv", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(io.CsvFormatError,
+                               match="need at least two data rows"):
+                io.read_trace_csv(path)
+
+
+def _reference_bytes(path, header, cols):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*cols):
+            writer.writerow(["%.17g" % x for x in row])
+    return path.read_bytes()
+
+
+class TestParallelEmit:
+    CHUNK = 5
+
+    @pytest.fixture()
+    def forks(self, monkeypatch):
+        calls = []
+        real_fork = os.fork
+
+        def fork():
+            calls.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(io, "_CHUNK_ROWS", self.CHUNK)
+        monkeypatch.setattr(io, "_FORMAT_ROWS", 2)
+        monkeypatch.setattr(io.os, "fork", fork)
+        return calls
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 5, 6, 9, 10, 11, 14, 15, 16, 23])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_bytes_match_serial_reference(self, tmp_path, monkeypatch, forks,
+                                          n, cpus):
+        monkeypatch.setattr(io, "_cpu_count", lambda: cpus)
+        rng = np.random.default_rng(n)
+        cols = [rng.standard_normal(n) * 1e3, -np.arange(n) / 7.0,
+                np.full(n, np.nan)]
+        header = ["a_x", "b_y", "c_z"]
+        path = tmp_path / "rows.csv"
+        io._write_rows(path, header, cols)
+        ref = _reference_bytes(tmp_path / "ref.csv", header, cols)
+        assert path.read_bytes() == ref
+        assert len(forks) == max(min(cpus, -(-n // self.CHUNK)) - 1, 0)
+
+    def test_serial_without_fork(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "_CHUNK_ROWS", self.CHUNK)
+        monkeypatch.setattr(io, "_cpu_count", lambda: 4)
+        monkeypatch.delattr(io.os, "fork")
+        cols = [np.arange(23) / 3.0, np.arange(23) * -1e-300]
+        path = tmp_path / "rows.csv"
+        io._write_rows(path, ["a_x", "b_y"], cols)
+        assert path.read_bytes() == _reference_bytes(tmp_path / "ref.csv",
+                                                     ["a_x", "b_y"], cols)
+
+    def test_failing_child_raises(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(io, "_cpu_count", lambda: 3)
+        real_format = io._format_rows
+
+        def format_rows(fh, row_fmt, columns, lo, hi):
+            if lo > 0:  # only the forked children format later ranges
+                raise RuntimeError("formatter failed")
+            real_format(fh, row_fmt, columns, lo, hi)
+
+        monkeypatch.setattr(io, "_format_rows", format_rows)
+        cols = [np.arange(30) / 3.0]
+        with pytest.raises(OSError, match=r"rows 10\.\.19 exited with status 1"):
+            io._write_rows(tmp_path / "rows.csv", ["a_x"], cols)
+        assert len(forks) == 2

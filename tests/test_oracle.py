@@ -330,3 +330,10 @@ class TestQuarterCarBlockwiseRoad:
         finally:
             tracemalloc.stop()
         assert peak / n_out < 512.0
+
+
+@pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf])
+def test_excitation_rejects_non_finite_duration(duration):
+    with pytest.raises(ValueError, match="duration must be positive and finite"):
+        oracle.Excitation(kind="sinusoid", amplitudes=(1e-3,),
+                          frequencies=(5.0,), duration=duration)
