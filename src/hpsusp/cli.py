@@ -129,12 +129,9 @@ def cmd_build_table(args) -> int:
     if args.frequencies:
         settings = config.TableBuildSettings(
             frequencies_hz=args.frequencies, dt=settings.dt,
-            n_amplitudes=settings.n_amplitudes,
             amplitude_scale=settings.amplitude_scale,
             static_force_n=settings.static_force_n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        table = lookup.build_table(cfg.suspension, settings)
+    table = lookup.build_table(cfg.suspension, settings)
     lookup.save_table(table, args.out)
     cov = ", ".join(f"{f:g} Hz {g.coverage:.0%}"
                     for f, g in zip(table.frequencies_hz, table.grids))

@@ -64,8 +64,12 @@ class SuspensionConfig:
     charge: GasChargeState
     friction: FrictionParams
     use_alg1_friction: bool = False   # squared-exponent friction variant
-    lowpass_hz: float | None = None   # optional input low-pass cutoff
-    stroke_limit: float = 0.05        # max |piston displacement| from charge point, m
+    # Zero-phase input low-pass cutoff of the iterative path (estimator.run)
+    # only; lookup-table cells do not depend on it, nor does the digest.
+    lowpass_hz: float | None = None
+    # Max |piston displacement| from the charge point, m. It gates the
+    # oracle and the table build but shapes no cell, so the digest omits it.
+    stroke_limit: float = 0.05
 
     def digest(self) -> int:
         """Stable 64-bit digest of all physical parameters."""
@@ -131,7 +135,6 @@ class TableBuildSettings:
 
     frequencies_hz: tuple = (3.0, 5.0, 7.0, 8.0)
     dt: float = 1.0 / 360.0
-    n_amplitudes: int = 40            # amplitude sweep size per frequency
     amplitude_scale: float = 1.0      # scales the bench amplitude schedule
     static_force_n: float | None = None  # static axial preload centering the sweep
 
@@ -281,7 +284,6 @@ _KEY_MAP = {
     "quarter_car.c_t_nspm": ("quarter_car", "c_t"),
     "table.frequencies_hz": ("table", "frequencies_hz"),
     "table.dt_s": ("table", "dt"),
-    "table.n_amplitudes": ("table", "n_amplitudes"),
     "table.amplitude_scale": ("table", "amplitude_scale"),
     "table.static_force_n": ("table", "static_force_n"),
 }
@@ -299,7 +301,7 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     if raw.lower() == "none":
         return None
-    if key in ("suspension.n_valve", "table.n_amplitudes"):
+    if key == "suspension.n_valve":
         return int(raw)
     try:
         return float(raw)

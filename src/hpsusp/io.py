@@ -154,6 +154,13 @@ def read_trace_csv(path, t0_temperature: float = 30.0):
     Numbers are parsed by numpy's tokenizer, so Python-only spellings
     such as ``1_000`` are rejected.
     """
+    try:
+        return _read_trace_csv(path, t0_temperature)
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _read_trace_csv(path, t0_temperature: float):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:

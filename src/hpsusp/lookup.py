@@ -9,10 +9,11 @@ weighted sum of cell arrays.
 
 The mapping is injective because the velocity implied by a pressure pair,
 
-    v = V_gas(P) * dP / (n_eff * P * A1 * dt),
+    v = (h_gas(P) - h_gas(P - dP)) / dt  ~  V_gas(P) * dP / (n_eff * P * A1 * dt),
 
 is strictly monotone in dP at fixed P, and the force chain is a function
-of (P, v) only once the sampling period and gas state are fixed.
+of (P, v) only once the sampling period and gas state are fixed. Each
+cell is therefore evaluated directly at its grid node.
 """
 
 from __future__ import annotations
@@ -155,149 +156,130 @@ def _amplitude_schedule(freq_hz: float, scale: float) -> float:
     return base_mm * 1e-3 * scale
 
 
-def _characterize_frequency(cfg: SuspensionConfig, freq_hz: float, dt: float,
-                            n_amplitudes: int, amplitude_scale: float,
-                            static_force_n: float | None):
-    """Scatter samples (p, dp, v, f_out, h) from an amplitude sweep at one tone."""
+def _outer_sweep(cfg: SuspensionConfig, freq_hz: float,
+                 settings: TableBuildSettings):
+    """Forward run around the outer sweep loop at one tone.
+
+    The schedule's amplitude, centred on the static offset, for 20 cycles
+    with the first dropped. Smaller amplitudes trace loops inside this
+    one, so it alone bounds the axes; the run raises StrokeError where the
+    sweep would overstroke. Returns (p1, dp, offset, amplitude, n_eff).
+    """
     n_eff = core.effective_polytropic_index(2.0 * np.pi * freq_hz,
                                             cfg.charge, cfg.fluid)
     offset = 0.0
-    if static_force_n is not None:
-        offset = oracle.static_gas_offset(cfg, static_force_n, n_eff)
-    amp_max = _amplitude_schedule(freq_hz, amplitude_scale)
-    amps = np.linspace(amp_max / n_amplitudes, amp_max, n_amplitudes)
-    duration = 20.0 / freq_hz
-    skip = int(round(1.0 / (freq_hz * dt)))  # drop the first cycle (startup)
-
-    cols = {k: [] for k in ("p", "dp", "f", "v", "h")}
-    for amp in amps:
-        exc = oracle.Excitation(kind="sinusoid", amplitudes=(float(amp),),
-                                frequencies=(freq_hz,), duration=duration,
-                                offset=offset)
-        trace = oracle.simulate_suspension(exc, cfg, dt, freq_for_n_eff=freq_hz)
-        # quasi-static characterization: the fluid-inertia drop depends on
-        # the flow acceleration of this particular sweep trajectory and is
-        # not a function of (P, dP), so it must not be baked into the cells
-        est = estimator.run(trace.to_pressure_trace(), cfg,
-                            freq_override=freq_hz, flow_inertia=False)
-        p1 = trace.p1
-        dp = np.empty_like(p1)
-        dp[1:] = np.diff(p1)
-        dp[0] = dp[1]
-        sl = slice(skip, None)
-        cols["p"].append(p1[sl])
-        cols["dp"].append(dp[sl])
-        cols["v"].append(est.v[sl])
-        cols["f"].append(est.f_out[sl])
-        cols["h"].append(est.h_gas[sl])
-    return {k: np.concatenate(v) for k, v in cols.items()}
+    if settings.static_force_n is not None:
+        offset = oracle.static_gas_offset(cfg, settings.static_force_n, n_eff)
+    amp = _amplitude_schedule(freq_hz, settings.amplitude_scale)
+    exc = oracle.Excitation(kind="sinusoid", amplitudes=(amp,),
+                            frequencies=(freq_hz,), duration=20.0 / freq_hz,
+                            offset=offset)
+    p1 = oracle.simulate_suspension(exc, cfg, settings.dt, freq_for_n_eff=freq_hz).p1
+    skip = int(round(1.0 / (freq_hz * settings.dt)))
+    return p1[skip:], np.diff(p1)[max(skip - 1, 0):], offset, amp, n_eff
 
 
-def _grid_scatter(pts_p, pts_dp, values, axes):
-    """Grid scattered sweep samples onto the shared axes.
+def _grid(cfg: SuspensionConfig, freq_hz: float, dt: float, axes: tuple,
+          offset: float, amp: float, n_eff: float) -> LookupGrid:
+    """One frequency slice, evaluated at its nodes in closed form.
 
-    The sweep traces one closed loop per amplitude, so samples form
-    stripes in the (P, dP) plane. Piecewise-linear (Delaunay) interpolation
-    passes exactly through the sample loops and is first-order accurate
-    between adjacent stripes; nodes outside the swept hull are filled from
-    the nearest sample (flat extrapolation) and marked unfilled in the
-    mask.
+    A sample at pressure P after one at P - dP has h = h_gas(P) and
+    v = (h_gas(P) - h_gas(P - dP)) / dt, and f_out is the force chain at
+    (P, v): what the iterative estimator returns with flow_inertia=False.
+    The fluid-inertia drop depends on a trajectory's flow acceleration,
+    not on (P, dP), so no cell can hold it.
+    A node is filled when it lies inside the outer sweep loop, which the
+    pairs (x, y) = (A sin phi, A sin(phi - theta)) about the offset trace,
+    theta = 2 pi f dt: x^2 - 2 x y cos(theta) + y^2 <= (A sin(theta))^2.
     """
-    from scipy.interpolate import LinearNDInterpolator
-    from scipy.spatial import Delaunay, cKDTree
-
     p_min, p_max, dp_min, dp_max = axes
-    # cell-unit coordinates keep the triangulation well-scaled
-    sp = (pts_p - p_min) / (p_max - p_min) * (N_P - 1)
-    sdp = (pts_dp - dp_min) / (dp_max - dp_min) * (N_DP - 1)
-    pts = np.column_stack([sp, sdp])
+    p = np.linspace(p_min, p_max, N_P)[:, None]
+    dp = np.linspace(dp_min, dp_max, N_DP)[None, :]
 
-    gi, gj = np.meshgrid(np.arange(N_P), np.arange(N_DP), indexing="ij")
-    nodes = np.column_stack([gi.ravel(), gj.ravel()]).astype(float)
+    def h_gas(pressure):
+        v_gas = core.gas_volume(pressure, cfg.charge, cfg.geom, n_eff)
+        return core.gas_displacement(v_gas, cfg.geom)
 
-    tri = Delaunay(pts)
-    interp = LinearNDInterpolator(tri, values)
-    grid_vals = interp(nodes)
-    filled = ~np.isnan(grid_vals[:, 0])
-
-    if not filled.all():
-        tree = cKDTree(pts)
-        _, i1 = tree.query(nodes[~filled], k=1)
-        grid_vals[~filled] = values[i1]
-
-    cells = grid_vals.astype(np.float32)
-    return cells.reshape(N_P, N_DP, values.shape[1]), filled.reshape(N_P, N_DP)
+    h, h_prev = h_gas(p), h_gas(p - dp)
+    v = (h - h_prev) / dt
+    _, _, f_gas, f_damp, f_fric = estimator.force_chain(p, v, 0.0, cfg)
+    cells = np.stack(np.broadcast_arrays(f_gas + f_damp + f_fric, v, h), axis=-1)
+    theta = 2.0 * np.pi * freq_hz * dt
+    x, y = h - offset, h_prev - offset
+    filled = x * x - 2.0 * np.cos(theta) * x * y + y * y <= (amp * np.sin(theta)) ** 2
+    return LookupGrid(omega=2.0 * np.pi * freq_hz, p_min=p_min, p_max=p_max,
+                      dp_min=dp_min, dp_max=dp_max,
+                      cells=cells.astype(np.float32), filled=filled)
 
 
 def build_table(cfg: SuspensionConfig,
                 settings: TableBuildSettings | None = None,
                 min_coverage: float = MIN_COVERAGE) -> LookupTable:
-    """Offline table generation from forward characterization sweeps.
+    """Offline table generation, each grid node evaluated in closed form.
 
-    For each characterization frequency an amplitude sweep is simulated,
-    the iterative estimator is run on the resulting pressure traces, and
-    its outputs are gridded over the (P, dP) plane. Sweeping amplitude
-    (not just frequency) is what fills the interior of each grid: a single
-    amplitude only traces a one-dimensional loop through the plane.
+    The grids share (P, dP) axes that span every tone's outer sweep loop
+    with 5 % padding, dp symmetric about 0. The cells depend on the
+    config digest's settings, dt and the sweep schedule only: not on
+    lowpass_hz, while stroke_limit only gates the build.
     """
     settings = settings or TableBuildSettings()
     freqs = sorted(float(f) for f in settings.frequencies_hz)
     if len(freqs) < 2:
         raise ValueError("need at least two characterization frequencies")
-    dt = settings.dt
 
-    per_freq = [
-        _characterize_frequency(cfg, f, dt, settings.n_amplitudes,
-                                settings.amplitude_scale, settings.static_force_n)
-        for f in freqs
-    ]
-
-    # shared axes: union of all sweeps, 5% span padding, dp symmetric about 0
-    all_p = np.concatenate([d["p"] for d in per_freq])
-    p_lo, p_hi = float(all_p.min()), float(all_p.max())
+    sweeps = [_outer_sweep(cfg, f, settings) for f in freqs]
+    p_lo = min(float(p1.min()) for p1, *_ in sweeps)
+    p_hi = max(float(p1.max()) for p1, *_ in sweeps)
     pad = AXIS_PAD * (p_hi - p_lo)
-    p_min, p_max = p_lo - pad, p_hi + pad
-    dp_abs = (1.0 + AXIS_PAD) * max(
-        max(abs(float(d["dp"].min())), abs(float(d["dp"].max()))) for d in per_freq)
-    axes = (p_min, p_max, -dp_abs, dp_abs)
+    dp_abs = (1.0 + AXIS_PAD) * max(float(np.abs(dp).max()) for _, dp, *_ in sweeps)
+    axes = (p_lo - pad, p_hi + pad, -dp_abs, dp_abs)
 
     grids = []
-    for f, data in zip(freqs, per_freq):
-        values = np.column_stack([data["f"], data["v"], data["h"]])
-        cells, filled = _grid_scatter(data["p"], data["dp"], values, axes)
-        grid = LookupGrid(omega=2.0 * np.pi * f, p_min=p_min, p_max=p_max,
-                          dp_min=-dp_abs, dp_max=dp_abs,
-                          cells=cells, filled=filled)
+    for f, (_, _, offset, amp, n_eff) in zip(freqs, sweeps):
+        grid = _grid(cfg, f, settings.dt, axes, offset, amp, n_eff)
         if grid.coverage < min_coverage:
             raise TableCoverageError(
                 f"{f:g} Hz grid coverage {grid.coverage:.1%} below the "
                 f"{min_coverage:.0%} minimum; widen the amplitude sweep")
         grids.append(grid)
 
-    return LookupTable(dt=dt, config_digest=cfg.digest(), grids=tuple(grids))
+    return LookupTable(dt=settings.dt, config_digest=cfg.digest(), grids=tuple(grids))
 
 
 # ---------------------------------------------------------------------------
 # Queries
 # ---------------------------------------------------------------------------
 
-def _blend_cells(table: LookupTable, omega: float) -> np.ndarray:
-    """Cell array at an arbitrary frequency (linear blend, clamped ends)."""
+def _blend_cells(table: LookupTable, omega: float) -> LookupGrid:
+    """Grid at an arbitrary frequency (linear blend, clamped ends).
+
+    Its cells blend the two bracketing grids; its swept region is the
+    nearest grid's (the lower one on a tie), which decides whether a
+    query counts as extrapolated.
+    """
     grids = table.grids
     if omega <= grids[0].omega:
-        return grids[0].cells
+        return grids[0]
     if omega >= grids[-1].omega:
-        return grids[-1].cells
+        return grids[-1]
     for lo, hi in zip(grids[:-1], grids[1:]):
         if lo.omega <= omega <= hi.omega:
             w = (omega - lo.omega) / (hi.omega - lo.omega)
-            return (1.0 - w) * lo.cells + w * hi.cells
+            near = lo if omega - lo.omega <= hi.omega - omega else hi
+            return LookupGrid(omega=omega, p_min=lo.p_min, p_max=lo.p_max,
+                              dp_min=lo.dp_min, dp_max=lo.dp_max,
+                              cells=(1.0 - w) * lo.cells + w * hi.cells,
+                              filled=near.filled)
     raise AssertionError("unreachable: grids are sorted")
 
 
-def _bilinear(cells: np.ndarray, grid0: LookupGrid, p, dp,
+def _bilinear(blend: LookupGrid, grid0: LookupGrid, p, dp,
               stats: QueryStats | None = None):
-    """Clamped bilinear interpolation; axes taken from grid0 (shared)."""
+    """Clamped bilinear interpolation in blend's cells; axes from grid0 (shared).
+
+    With stats given, clamped queries are counted, and so are queries
+    whose nearest node (after clamping) lies outside blend's swept region.
+    """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     dp = np.atleast_1d(np.asarray(dp, dtype=float))
     x = (p - grid0.p_min) / (grid0.p_max - grid0.p_min) * (N_P - 1)
@@ -308,6 +290,12 @@ def _bilinear(cells: np.ndarray, grid0: LookupGrid, p, dp,
         stats.dp_clamped += int(np.count_nonzero((y < 0.0) | (y > N_DP - 1)))
     x = np.clip(x, 0.0, N_P - 1)
     y = np.clip(y, 0.0, N_DP - 1)
+    if stats is not None:
+        # nearest node, rounding half to even as round() does
+        node = np.rint(x).astype(np.intp) * N_DP + np.rint(y).astype(np.intp)
+        stats.extrapolated += p.size - int(np.count_nonzero(blend.filled.ravel()[node]))
+        del node  # freed before the corner products, which set the peak
+    cells = blend.cells
     i0 = np.minimum(x.astype(np.intp), N_P - 2)
     j0 = np.minimum(y.astype(np.intp), N_DP - 2)
     fx = (x - i0)[:, None]
@@ -324,18 +312,7 @@ def _bilinear(cells: np.ndarray, grid0: LookupGrid, p, dp,
 def query(table: LookupTable, p: float, dp: float, omega: float,
           stats: QueryStats | None = None):
     """Single lookup: (f_out, v, h) at one pressure pair and blend frequency."""
-    cells = _blend_cells(table, omega)
-    grid0 = table.grids[0]
-    out = _bilinear(cells, grid0, p, dp, stats)
-    if stats is not None:
-        # swept-region accounting on the nearest grid's mask
-        nearest = min(table.grids, key=lambda g: abs(g.omega - omega))
-        i = int(np.clip(round((p - grid0.p_min) / (grid0.p_max - grid0.p_min)
-                              * (N_P - 1)), 0, N_P - 1))
-        j = int(np.clip(round((dp - grid0.dp_min) / (grid0.dp_max - grid0.dp_min)
-                              * (N_DP - 1)), 0, N_DP - 1))
-        if not nearest.filled[i, j]:
-            stats.extrapolated += 1
+    out = _bilinear(_blend_cells(table, omega), table.grids[0], p, dp, stats)
     f_out, v, h = (float(x) for x in out[0])
     return f_out, v, h
 
@@ -390,8 +367,8 @@ def estimate_series(trace: estimator.PressureTrace, table: LookupTable,
     starts = np.flatnonzero(np.diff(omega_series[order])) + 1
     out = np.empty((p1.size, 3))
     for idx in np.split(order, starts):
-        cells = _blend_cells(table, float(omega_series[idx[0]]))
-        out[idx] = _bilinear(cells, grid0, p1[idx], dp[idx], stats)
+        blend = _blend_cells(table, float(omega_series[idx[0]]))
+        out[idx] = _bilinear(blend, grid0, p1[idx], dp[idx], stats)
 
     return SeriesEstimate(v=out[:, 1], f_out=out[:, 0], h=out[:, 2],
                           omega=omega_series, stats=stats)
@@ -566,7 +543,7 @@ def benchmark(table: LookupTable, cfg: SuspensionConfig,
     n = trace.n
     omega = 2.0 * np.pi * freq_hz
     n_eff = core.effective_polytropic_index(omega, cfg.charge, cfg.fluid)
-    cells_f = np.ascontiguousarray(_blend_cells(table, omega)[:, :, 0], dtype=float)
+    cells_f = np.ascontiguousarray(_blend_cells(table, omega).cells[:, :, 0], dtype=float)
     grid0 = table.grids[0]
 
     t_iter, t_look, t_iter_batch, t_look_batch = [], [], [], []

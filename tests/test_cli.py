@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -235,3 +236,22 @@ class TestFlagValues:
     def test_validate_takes_no_config_flags(self, capsys, flag, value):
         code, _, err = run_cli(capsys, "validate", flag, value)
         assert code == 2 and "unrecognized arguments" in err
+
+
+def test_non_utf8_trace_is_input_error(capsys, tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"t_s,p1_pa\r\n0,1000000\r\n0.002777,1000\xff00\r\n")
+    code, _, err = run_cli(capsys, "estimate", "--trace", str(path),
+                           "--out", str(tmp_path / "o.csv"))
+    assert code == 3 and f"input error: {path}: not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("preset", ["bench-prototype", "mining-truck"])
+def test_build_table_raises_no_warning(capsys, tmp_path, preset):
+    out = tmp_path / "t.hplt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text, _ = run_cli(capsys, "build-table", "--preset", preset,
+                                "--out", str(out))
+    assert code == 0 and "4 grids" in text
+    assert lookup.load_table(out, config.preset(preset).suspension).grids

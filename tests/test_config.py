@@ -104,3 +104,10 @@ class TestConfigFile:
         path.write_text(text)
         back = config.load_run_config(path)
         assert back.suspension == rc.suspension
+
+
+def test_sweep_size_key_is_gone(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("preset = bench-prototype\ntable.n_amplitudes = 40\n")
+    with pytest.raises(config.ConfigError, match="unknown key 'table.n_amplitudes'"):
+        config.load_run_config(path)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 import warnings
 
 import numpy as np
@@ -309,3 +310,14 @@ class TestParallelEmit:
         with pytest.raises(OSError, match=r"rows 10\.\.19 exited with status 1"):
             io._write_rows(tmp_path / "rows.csv", ["a_x"], cols)
         assert len(forks) == 2
+
+
+@pytest.mark.parametrize("blob", [
+    b"t_s,p1_\xffpa\n0,1e6\n0.1,1e6\n",             # in the header
+    b"t_s,p1_pa\n0,1e6\n0.1,1e6\n0.2,1\xff\n",       # in a data row
+])
+def test_non_utf8_trace_raises_format_error(tmp_path, blob):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(blob)
+    with pytest.raises(io.CsvFormatError, match=re.escape(f"{path}: not UTF-8 text")):
+        io.read_trace_csv(path)

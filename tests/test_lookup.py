@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hpsusp import config, estimator, lookup, metrics, oracle
+from hpsusp import config, core, estimator, lookup, metrics, oracle
 
 DT = 1.0 / 360.0
 
@@ -296,3 +300,162 @@ class TestSerialization:
         other = config.mining_truck(30.0).suspension
         with pytest.raises(lookup.DigestMismatchError):
             lookup.load_table(path, other)
+
+
+
+def _reference_sweeps(cfg, settings):
+    """The amplitude sweep that the closed-form table build replaced.
+
+    Forty amplitudes per tone are simulated and estimated. Returns the
+    shared axes and, per tone, the scattered (p, dp, f_out, v, h) samples.
+    """
+    dt, sweeps = settings.dt, []
+    for f in sorted(settings.frequencies_hz):
+        n_eff = core.effective_polytropic_index(2 * np.pi * f, cfg.charge, cfg.fluid)
+        offset = 0.0
+        if settings.static_force_n is not None:
+            offset = oracle.static_gas_offset(cfg, settings.static_force_n, n_eff)
+        amp_max = lookup._amplitude_schedule(f, settings.amplitude_scale)
+        skip = int(round(1.0 / (f * dt)))
+        cols = []
+        for amp in np.linspace(amp_max / 40, amp_max, 40):
+            exc = oracle.Excitation(kind="sinusoid", amplitudes=(float(amp),),
+                                    frequencies=(f,), duration=20.0 / f,
+                                    offset=offset)
+            trace = oracle.simulate_suspension(exc, cfg, dt, freq_for_n_eff=f)
+            est = estimator.run(trace.to_pressure_trace(), cfg,
+                                freq_override=f, flow_inertia=False)
+            dp = np.empty_like(trace.p1)
+            dp[1:] = np.diff(trace.p1)
+            dp[0] = dp[1]
+            cols.append(np.column_stack([trace.p1, dp, est.f_out, est.v,
+                                         est.h_gas])[skip:])
+        sweeps.append(np.concatenate(cols))
+
+    all_p = np.concatenate([s[:, 0] for s in sweeps])
+    p_lo, p_hi = float(all_p.min()), float(all_p.max())
+    pad = lookup.AXIS_PAD * (p_hi - p_lo)
+    dp_abs = (1.0 + lookup.AXIS_PAD) * max(
+        max(abs(float(s[:, 1].min())), abs(float(s[:, 1].max()))) for s in sweeps)
+    return (p_lo - pad, p_hi + pad, -dp_abs, dp_abs), sweeps
+
+
+def _reference_grids(axes, sweeps):
+    """Delaunay gridding of the sweep samples, nearest sample outside the hull.
+
+    Returns per tone (cells, filled), filled meaning inside the hull.
+    """
+    from scipy.interpolate import LinearNDInterpolator
+    from scipy.spatial import Delaunay, cKDTree
+
+    gi, gj = np.meshgrid(np.arange(lookup.N_P), np.arange(lookup.N_DP),
+                         indexing="ij")
+    nodes = np.column_stack([gi.ravel(), gj.ravel()]).astype(float)
+    out = []
+    for s in sweeps:
+        pts = np.column_stack([
+            (s[:, 0] - axes[0]) / (axes[1] - axes[0]) * (lookup.N_P - 1),
+            (s[:, 1] - axes[2]) / (axes[3] - axes[2]) * (lookup.N_DP - 1)])
+        vals = LinearNDInterpolator(Delaunay(pts), s[:, 2:])(nodes)
+        inside = ~np.isnan(vals[:, 0])
+        vals[~inside] = s[cKDTree(pts).query(nodes[~inside], k=1)[1], 2:]
+        out.append((vals.astype(np.float32).reshape(lookup.N_P, lookup.N_DP, 3),
+                    inside.reshape(lookup.N_P, lookup.N_DP)))
+    return out
+
+
+class TestClosedFormTable:
+    def test_cells_equal_estimator_at_random_nodes(self, bench_cfg, bench_table):
+        rng = np.random.default_rng(11)
+        for g in bench_table.grids:
+            f = g.omega / (2 * np.pi)
+            p_axis = np.linspace(g.p_min, g.p_max, lookup.N_P)
+            dp_axis = np.linspace(g.dp_min, g.dp_max, lookup.N_DP)
+            span = np.ptp(g.cells.astype(float).reshape(-1, 3), axis=0)
+            for i, j in zip(rng.integers(0, lookup.N_P, 20),
+                            rng.integers(0, lookup.N_DP, 20)):
+                p, dp = p_axis[i], dp_axis[j]
+                trace = estimator.PressureTrace(
+                    dt=bench_table.dt, samples=np.append(np.full(15, p - dp), p),
+                    t0_temperature=30.0)
+                bd = estimator.run(trace, bench_cfg, freq_override=f,
+                                   flow_inertia=False)
+                want = np.array([bd.f_out[-1], bd.v[-1], bd.h_gas[-1]])
+                # float32 storage: half an ulp of the value, plus float64
+                # rounding on the scale of the column
+                assert np.all(np.abs(g.cells[i, j] - want)
+                              <= 2.0 ** -24 * np.abs(want) + 1e-12 * span), (f, i, j)
+
+    @pytest.mark.parametrize("preset", ["bench-prototype", "mining-truck"])
+    def test_axes_equal_sweep_reference(self, preset):
+        rc = config.preset(preset)
+        table = lookup.build_table(rc.suspension, rc.table)
+        axes, _ = _reference_sweeps(rc.suspension, rc.table)
+        for g in table.grids:
+            assert (g.p_min, g.p_max, g.dp_min, g.dp_max) == axes
+            assert all(type(a) is float
+                       for a in (g.omega, g.p_min, g.p_max, g.dp_min, g.dp_max))
+
+    def test_cells_and_mask_near_delaunay_reference(self, truck):
+        table = lookup.build_table(truck.suspension, truck.table)
+        axes, sweeps = _reference_sweeps(truck.suspension, truck.table)
+        for g, (ref_cells, ref_filled) in zip(table.grids,
+                                              _reference_grids(axes, sweeps)):
+            force = ref_cells[..., 0][ref_filled].astype(float)
+            err = np.abs(g.cells[..., 0] - ref_cells[..., 0])[ref_filled]
+            assert err.max() <= 0.005 * np.ptp(force), g.omega
+            assert np.mean(g.filled != ref_filled) < 0.005, g.omega
+
+    def test_build_imports_no_scipy_gridding(self):
+        code = ("import sys\n"
+                "from hpsusp import config, lookup\n"
+                "rc = config.preset('mining-truck')\n"
+                "lookup.build_table(rc.suspension, rc.table)\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if m.startswith(('scipy.spatial', 'scipy.interpolate'))))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+
+    def test_lowpass_does_not_shape_cells(self, bench_cfg):
+        settings = config.TableBuildSettings(frequencies_hz=(3.0, 8.0))
+        plain = lookup.build_table(bench_cfg, settings)
+        filtered = lookup.build_table(
+            dataclasses.replace(bench_cfg, lowpass_hz=20.0), settings)
+        assert filtered.config_digest == plain.config_digest
+        for a, b in zip(plain.grids, filtered.grids):
+            assert np.array_equal(a.cells, b.cells)
+            assert np.array_equal(a.filled, b.filled)
+
+    def test_stroke_limit_gates_the_build(self, bench_cfg):
+        with pytest.raises(oracle.StrokeError):
+            lookup.build_table(bench_cfg,
+                               config.TableBuildSettings(amplitude_scale=7.0))
+
+    def test_series_counts_extrapolated_like_query(self, bench_table):
+        # a 2 -> 9 Hz chirp over most of the pressure axis leaves the swept
+        # ellipses near its extremes and at its fast middle
+        g = bench_table.grids[0]
+        n = 1500
+        t = np.arange(n) * DT
+        phase = 2 * np.pi * (2.0 * t + 3.5 * t ** 2 / t[-1])
+        p = 0.5 * (g.p_min + g.p_max) + 0.45 * (g.p_max - g.p_min) * np.sin(phase)
+        trace = estimator.PressureTrace(dt=DT, samples=p, t0_temperature=30.0)
+        est = lookup.estimate_series(trace, bench_table, omega="auto")
+        dp = np.empty_like(p)
+        dp[1:] = np.diff(p)
+        dp[0] = dp[1]
+        ref = lookup.QueryStats()
+        unfilled = 0
+        for pi, dpi, w in zip(p, dp, est.omega):
+            lookup.query(bench_table, float(pi), float(dpi), float(w), ref)
+            # the rule spelled out: the nearest grid's mask at the rounded,
+            # clamped node
+            near = min(bench_table.grids, key=lambda grid: abs(grid.omega - w))
+            i = round((pi - g.p_min) / (g.p_max - g.p_min) * (lookup.N_P - 1))
+            j = round((dpi - g.dp_min) / (g.dp_max - g.dp_min) * (lookup.N_DP - 1))
+            unfilled += not near.filled[min(max(i, 0), lookup.N_P - 1),
+                                        min(max(j, 0), lookup.N_DP - 1)]
+        assert est.stats == ref
+        assert est.stats.extrapolated == unfilled > 0
