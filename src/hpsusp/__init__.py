@@ -8,7 +8,7 @@ mapping the axial force to vertical wheel load, and a forward simulation
 oracle used for table generation and closed-loop validation.
 """
 
-from . import cli, config, core, estimator, io, lookup, metrics, oracle, validate, wheel
+from . import config, core, estimator, io, lookup, metrics, oracle, validate, wheel
 from .config import (RunConfig, SuspensionConfig, WheelLinkage, QuarterCarParams,
                      bench_prototype, mining_truck, preset)
 from .estimator import ForceBreakdown, PressureTrace
@@ -19,7 +19,7 @@ from .wheel import WheelLoadSeries, estimate_wheel_load_series
 __version__ = "1.0.0"
 
 __all__ = [
-    "cli", "config", "core", "estimator", "io", "lookup", "metrics",
+    "config", "core", "estimator", "io", "lookup", "metrics",
     "oracle", "validate", "wheel",
     "RunConfig", "SuspensionConfig", "WheelLinkage", "QuarterCarParams",
     "bench_prototype", "mining_truck", "preset",

@@ -104,6 +104,7 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     cfg = _load_config(args)
     trace, truth = io.read_trace_csv(args.trace, t0_temperature=args.t0)
+    truth = truth.get("f_out_truth_n")  # the one column compared below
     if args.mode == "lookup":
         if not args.table:
             raise UsageError("lookup mode requires --table")
@@ -116,9 +117,9 @@ def cmd_estimate(args) -> int:
         f_out = bd.f_out
         io.write_breakdown_csv(args.out, trace, bd)
     print(f"wrote {args.out}")
-    if "f_out_truth_n" in truth:
-        rel = metrics.rel_rmse(f_out, truth["f_out_truth_n"])
-        r2 = metrics.r_squared(f_out, truth["f_out_truth_n"])
+    if truth is not None:
+        rel = metrics.rel_rmse(f_out, truth)
+        r2 = metrics.r_squared(f_out, truth)
         print(f"vs embedded truth: rel RMSE {rel:.3%}, R2 {r2:.4f}")
     return EXIT_OK
 
@@ -142,16 +143,17 @@ def cmd_build_table(args) -> int:
 def cmd_wheel_load(args) -> int:
     cfg = _load_config(args)
     trace, truth = io.read_trace_csv(args.trace, t0_temperature=args.t0)
+    truth = truth.get("f_tire_truth_n")  # the one column compared below
     table = lookup.load_table(args.table, cfg.suspension)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", wheel.WheelLiftoffWarning)
         series = wheel.estimate_wheel_load_series(trace, table, cfg.linkage,
                                                   omega=args.omega)
     io.write_wheel_load_csv(args.out, trace.dt, series)
-    print(f"wrote {args.out}: {series.f_tire.size} samples, "
+    print(f"wrote {args.out}: {series.n} samples, "
           f"{series.liftoff_count} liftoff sample(s)")
-    if "f_tire_truth_n" in truth:
-        rel = metrics.rel_rmse_mean(series.f_tire, truth["f_tire_truth_n"])
+    if truth is not None:
+        rel = metrics.rel_rmse_mean(series.f_tire, truth)
         print(f"vs embedded truth: rel RMSE {rel:.3%} of mean load")
     return EXIT_OK
 

@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 MIN_TRACE_LEN = 16
+_FFT_SAMPLES = 65536     # window samples per batched FFT; bounds the window stack
 
 
 class NoDominantFrequencyError(ValueError):
@@ -73,7 +74,6 @@ class ForceBreakdown:
     n_eff: float
     f_peak: float
     cavitation_count: int = 0
-    clamp_count: int = 0
     h_gas: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -86,7 +86,8 @@ def window_peak_frequencies(samples: np.ndarray, dt: float, win: int,
     of its own length. In each mean-removed window the largest non-DC DFT
     bin above a small threshold gives the frequency. A window without such
     a bin takes the previous window's frequency, or the first live
-    window's when none precedes it. Returns (starts, window size, freqs_hz).
+    window's when none precedes it. The windows are transformed in batches
+    of about _FFT_SAMPLES samples. Returns (starts, window size, freqs_hz).
     """
     n = samples.size
     if n <= win:
@@ -94,17 +95,23 @@ def window_peak_frequencies(samples: np.ndarray, dt: float, win: int,
         starts = np.zeros(1, dtype=np.intp)
     else:
         starts = np.append(np.arange(0, n - win, hop), n - win)
-    segs = np.lib.stride_tricks.sliding_window_view(samples, win)[starts]
-    segs -= segs.mean(axis=1, keepdims=True)
-    spectrum = np.abs(np.fft.rfft(segs, axis=1))
-    spectrum[:, 0] = 0.0
-    live = np.any(spectrum > 1e-9 * max(samples.max(), 1.0), axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(samples, win)
+    threshold = 1e-9 * max(samples.max(), 1.0)
+    live = np.empty(starts.size, dtype=bool)
+    k = np.empty(starts.size, dtype=np.intp)
+    batch = max(_FFT_SAMPLES // win, 1)
+    for a in range(0, starts.size, batch):
+        segs = windows[starts[a:a + batch]]
+        segs -= segs.mean(axis=1, keepdims=True)
+        spectrum = np.abs(np.fft.rfft(segs, axis=1))
+        spectrum[:, 0] = 0.0
+        live[a:a + batch] = np.any(spectrum > threshold, axis=1)
+        k[a:a + batch] = np.argmax(spectrum, axis=1)
     if not live.any():
         raise NoDominantFrequencyError("constant signal: no dominant frequency")
     source = np.maximum.accumulate(np.where(live, np.arange(live.size), -1))
     source[source < 0] = np.argmax(live)
-    k = np.argmax(spectrum, axis=1)[source]
-    return starts, win, k / (win * dt)
+    return starts, win, k[source] / (win * dt)
 
 
 def estimate_peak_frequency(trace: PressureTrace) -> float:

@@ -29,8 +29,9 @@ __all__ = [
 ]
 
 _FMT = "%.17g"
-_CHUNK_ROWS = 8192      # rows worth a writer process of their own
+_CHUNK_ROWS = 8192      # rows computed at once, and worth a writer process of their own
 _FORMAT_ROWS = 256      # rows per %-format call; bounds the text held at once
+_READ_ROWS = 65536      # data rows per np.loadtxt call; bounds the parse buffer
 
 TRACE_BASE_COLUMNS = ("t_s", "p1_pa")
 TRACE_TRUTH_COLUMNS = ("f_out_truth_n", "v_truth_mps", "h_truth_m")
@@ -49,41 +50,52 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _format_rows(fh, row_fmt, columns, lo, hi):
-    """Write rows lo..hi-1, one %-format call per _FORMAT_ROWS rows.
+def _format_rows(fh, row_fmt, rows, lo, hi):
+    """Write rows lo..hi-1 of the row-block source `rows`.
 
-    Formatted numbers never need quoting, so each block is formatted from
-    native floats with the row format repeated once per row.
+    rows(a, b) returns the columns of rows a..b-1; it is called for
+    _CHUNK_ROWS rows at a time, so a source that computes its rows holds
+    one block of them. Formatted numbers never need quoting, so each
+    _FORMAT_ROWS rows are formatted from native floats with the row format
+    repeated once per row.
     """
-    for a in range(lo, hi, _FORMAT_ROWS):
-        b = min(a + _FORMAT_ROWS, hi)
-        values = np.column_stack([c[a:b] for c in columns]).ravel().tolist()
-        fh.write((row_fmt * (b - a)) % tuple(values))
+    for a in range(lo, hi, _CHUNK_ROWS):
+        columns = rows(a, min(a + _CHUNK_ROWS, hi))
+        m = len(columns[0])
+        for b in range(0, m, _FORMAT_ROWS):
+            c = min(b + _FORMAT_ROWS, m)
+            values = np.column_stack([col[b:c] for col in columns]).ravel().tolist()
+            fh.write((row_fmt * (c - b)) % tuple(values))
 
 
 def _write_rows(path, header, columns):
-    """Header as csv.writer writes it, then %.17g rows ending in CRLF.
+    """Header as csv.writer writes it, then %.17g rows ending in CRLF."""
+    _write_row_blocks(path, header, len(columns[0]),
+                      lambda lo, hi: [c[lo:hi] for c in columns])
 
-    The rows are formatted on every CPU the process may use, one
-    contiguous range per worker, up to one worker per chunk of rows;
+
+def _write_row_blocks(path, header, n, rows):
+    """_write_rows for the n rows of a row-block source (see _format_rows).
+
+    The rows are computed and formatted on every CPU the process may use,
+    one contiguous range per worker, up to one worker per chunk of rows;
     the file's bytes do not depend on the number of workers.
     """
-    row_fmt = ",".join([_FMT] * len(columns)) + "\r\n"
-    n = len(columns[0])
+    row_fmt = ",".join([_FMT] * len(header)) + "\r\n"
     workers = min(_cpu_count(), -(-n // _CHUNK_ROWS))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
         if workers < 2 or not hasattr(os, "fork"):
-            _format_rows(fh, row_fmt, columns, 0, n)
+            _format_rows(fh, row_fmt, rows, 0, n)
         else:
-            _write_rows_forked(fh, row_fmt, columns, workers)
+            _write_rows_forked(fh, row_fmt, rows, n, workers)
 
 
-def _write_rows_forked(fh, row_fmt, columns, workers):
+def _write_rows_forked(fh, row_fmt, rows, n, workers):
     """Format rows in `workers` processes: the parent and forked children.
 
-    Each range after the first is formatted by a child into its own
-    temporary file; the parent formats the first range into `fh`, waits
+    Each range after the first is computed and formatted by a child into
+    its own temporary file; the parent does the first range into `fh`, waits
     for every child and appends their files in order. The header is
     flushed before forking so no child holds buffered text, and a child
     only formats floats into its file and leaves through os._exit, which
@@ -93,7 +105,6 @@ def _write_rows_forked(fh, row_fmt, columns, workers):
     import shutil
     import tempfile
 
-    n = len(columns[0])
     bounds = [n * k // workers for k in range(workers + 1)]
     fh.flush()
     with contextlib.ExitStack() as files:
@@ -103,9 +114,9 @@ def _write_rows_forked(fh, row_fmt, columns, workers):
                 tmp = files.enter_context(tempfile.TemporaryFile())
                 pid = os.fork()
                 if pid == 0:
-                    _format_in_child(tmp, row_fmt, columns, lo, hi)
+                    _format_in_child(tmp, row_fmt, rows, lo, hi)
                 children.append((pid, tmp, lo, hi))
-            _format_rows(fh, row_fmt, columns, 0, bounds[1])
+            _format_rows(fh, row_fmt, rows, 0, bounds[1])
         finally:
             codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                      for pid, *_ in children]
@@ -118,13 +129,13 @@ def _write_rows_forked(fh, row_fmt, columns, workers):
             shutil.copyfileobj(tmp, fh.buffer)
 
 
-def _format_in_child(tmp, row_fmt, columns, lo, hi):
+def _format_in_child(tmp, row_fmt, rows, lo, hi):
     """Forked child: format rows lo..hi-1 into `tmp`, then exit; never returns."""
     code = 1
     try:
         with open(tmp.fileno(), "w", encoding="utf-8", newline="",
                   closefd=False) as out:
-            _format_rows(out, row_fmt, columns, lo, hi)
+            _format_rows(out, row_fmt, rows, lo, hi)
         code = 0
     except BaseException:  # reported here; the parent raises on the status
         import traceback
@@ -152,7 +163,8 @@ def read_trace_csv(path, t0_temperature: float = 30.0):
     The sampling period is inferred from the time column and must be
     uniform to 1 ppm; every pressure sample must be positive and finite.
     Numbers are parsed by numpy's tokenizer, so Python-only spellings
-    such as ``1_000`` are rejected.
+    such as ``1_000`` are rejected. Every column is its own contiguous
+    array, so a caller that drops a truth column frees its memory.
     """
     try:
         return _read_trace_csv(path, t0_temperature)
@@ -171,31 +183,58 @@ def _read_trace_csv(path, t0_temperature: float):
             raise CsvFormatError(
                 f"{path}: expected leading columns {TRACE_BASE_COLUMNS}, "
                 f"got {tuple(header[:2])}")
-        try:
-            with warnings.catch_warnings():
-                # a header-only file is reported below, not as a warning
-                warnings.filterwarnings(
-                    "ignore", message="loadtxt: input contained no data",
-                    category=UserWarning)
-                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
-                                  quotechar='"')
-        except ValueError as exc:
-            _raise_row_error(path, len(header), exc)
-    if len(data) and data.shape[1] != len(header):  # loadtxt only checks rows agree
-        _raise_row_error(path, len(header))
-    if len(data) < 2:
+        columns = _read_columns(path, fh, len(header))
+    t, p = columns[:2]
+    if t.size < 2:
         raise CsvFormatError(f"{path}: need at least two data rows")
-    p = data[:, 1]
     if not np.all((p > 0.0) & (p < math.inf)):
         _raise_row_error(path, len(header))
-    t = data[:, 0]
+    # The check is order-free, so the median may partition the steps in place.
     steps = np.diff(t)
-    dt = float(np.median(steps))
-    if not dt > 0.0 or not np.all(np.abs(steps - dt) <= 1e-6 * dt):
+    dt = float(np.median(steps, overwrite_input=True))
+    steps -= dt
+    if not dt > 0.0 or not np.all(np.abs(steps, out=steps) <= 1e-6 * dt):
         raise CsvFormatError(f"{path}: time column is not uniformly sampled")
+    del steps
     trace = PressureTrace(dt=dt, samples=p, t0_temperature=t0_temperature)
-    truth = {name: data[:, i] for i, name in enumerate(header) if i >= 2}
-    return trace, truth
+    return trace, dict(zip(header[2:], columns[2:]))
+
+
+def _read_columns(path, fh, n_fields: int) -> list:
+    """The data rows left in `fh`, one contiguous float array per field.
+
+    Each column is allocated once, for an upper bound on the rows (one
+    per line ending), and filled _READ_ROWS rows per np.loadtxt call; its
+    pages past the last row are never written, so they stay out of the
+    resident set.
+    """
+    with open(path, "rb") as raw:  # lines end in \n, \r\n or \r
+        bound = 1 + sum(buf.count(b"\n") + buf.count(b"\r")
+                        for buf in iter(lambda: raw.read(1 << 20), b""))
+    columns = [np.empty(bound) for _ in range(n_fields)]
+    n = 0
+    with warnings.catch_warnings():
+        # blank lines are skipped and an empty read ends the data; the
+        # header-only case is reported by the caller, not as a warning
+        warnings.filterwarnings("ignore", message="loadtxt: input contained no data",
+                                category=UserWarning)
+        warnings.filterwarnings("ignore", message="Input line .* contained no data",
+                                category=UserWarning)
+        while True:
+            try:
+                block = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
+                                   quotechar='"', max_rows=_READ_ROWS)
+            except ValueError as exc:
+                _raise_row_error(path, n_fields, exc)
+            if len(block) and block.shape[1] != n_fields:  # loadtxt only checks rows agree
+                _raise_row_error(path, n_fields)
+            if n + len(block) > bound:
+                raise CsvFormatError(f"{path}: file grew while it was read")
+            for column, values in zip(columns, block.T if len(block) else ()):
+                column[n:n + len(block)] = values
+            n += len(block)
+            if len(block) < _READ_ROWS:
+                return [column[:n] for column in columns]
 
 
 def _is_number(field: str) -> bool:
@@ -239,26 +278,34 @@ def _raise_row_error(path, n_fields: int, cause=None):
                          + (f" ({cause})" if cause else "")) from cause
 
 
+def _times(dt: float, lo: int, hi: int) -> np.ndarray:
+    """Sample times of rows lo..hi-1, as PressureTrace.t has them."""
+    return np.arange(lo, hi) * dt
+
+
 def write_breakdown_csv(path, trace: PressureTrace, bd: ForceBreakdown) -> None:
     header = ["t_s", "p1_pa", "p2_pa", "f_gas_n", "f_damp_n", "f_fric_n",
               "f_out_n", "v_mps", "h_m", "a_mps2"]
-    cols = [trace.t, trace.samples, bd.p2, bd.f_gas, bd.f_damp, bd.f_fric,
+    cols = [trace.samples, bd.p2, bd.f_gas, bd.f_damp, bd.f_fric,
             bd.f_out, bd.v, bd.h_total, bd.a]
-    _write_rows(path, header, cols)
+    _write_row_blocks(path, header, trace.n, lambda lo, hi: [
+        _times(trace.dt, lo, hi)] + [c[lo:hi] for c in cols])
 
 
 def write_wheel_load_csv(path, dt: float, series: WheelLoadSeries) -> None:
+    """Wheel-load output; each writer computes the kinematic chain of its rows."""
     header = ["t_s", "f_out_n", "h_sus_m", "v_mps", "a_sus_mps2", "theta_rad",
               "beta_rad", "i_sus", "ztt_acc_mps2", "f_tire_n", "liftoff_flag"]
-    t = np.arange(series.f_tire.size) * dt
-    liftoff = (series.f_tire < 0.0).astype(float)
-    cols = [t, series.f_out, series.h_sus, series.v, series.a_sus,
-            series.theta, series.beta, series.i_sus, series.z_ddot_t,
-            series.f_tire, liftoff]
-    _write_rows(path, header, cols)
+
+    def rows(lo, hi):
+        r = series.rows(lo, hi)
+        return [_times(dt, lo, hi), r.f_out, r.h_sus, r.v, r.a_sus, r.theta,
+                r.beta, r.i_sus, r.z_ddot_t, r.f_tire, (r.f_tire < 0.0).astype(float)]
+    _write_row_blocks(path, header, series.n, rows)
 
 
 def write_lookup_csv(path, trace: PressureTrace, est: SeriesEstimate) -> None:
     """Lookup-path output: the (f_out, v, h) triplet per trace sample."""
-    _write_rows(path, ["t_s", "f_out_n", "v_mps", "h_m"],
-                [trace.t, est.f_out, est.v, est.h])
+    _write_row_blocks(path, ["t_s", "f_out_n", "v_mps", "h_m"], trace.n,
+                      lambda lo, hi: [_times(trace.dt, lo, hi), est.f_out[lo:hi],
+                                      est.v[lo:hi], est.h[lo:hi]])

@@ -55,6 +55,7 @@ N_P = 100      # pressure axis cells
 N_DP = 200     # pressure-increment axis cells
 AXIS_PAD = 0.05
 MIN_COVERAGE = 0.30
+_BLOCK_ROWS = 4096   # samples per bilinear evaluation; bounds its temporaries
 
 
 class TableFormatError(ValueError):
@@ -339,17 +340,15 @@ def estimate_series(trace: estimator.PressureTrace, table: LookupTable,
     omega may be a fixed blend frequency in rad/s or "auto", which tracks
     the dominant frequency over one-second windows hopped every half
     second and assigns each sample the nearest window's estimate. Both
-    modes run in memory linear in the trace length, and in time linear
-    but for one stable sort of the per-sample frequencies.
+    modes run in time linear but for one stable sort of the per-sample
+    frequencies. Each blend group is queried _BLOCK_ROWS samples at a
+    time, so beyond the outputs (32 B per sample) only the sort order
+    (8 B per sample) grows with the trace.
     """
     if abs(trace.dt - table.dt) > 1e-9:
         raise TimeBaseError(
             f"trace dt {trace.dt!r} does not match table dt {table.dt!r}")
     p1 = trace.samples
-    dp = np.empty_like(p1)
-    dp[1:] = np.diff(p1)
-    dp[0] = dp[1]
-
     stats = QueryStats()
     grid0 = table.grids[0]
     if isinstance(omega, str):
@@ -364,11 +363,18 @@ def estimate_series(trace: estimator.PressureTrace, table: LookupTable,
     # Group the samples by blend frequency once. A stable sort keeps each
     # group in trace order and is near-linear on the runs that tracking gives.
     order = np.argsort(omega_series, kind="stable")
-    starts = np.flatnonzero(np.diff(omega_series[order])) + 1
+    grouped = omega_series[order]
+    starts = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
+    del grouped
     out = np.empty((p1.size, 3))
-    for idx in np.split(order, starts):
-        blend = _blend_cells(table, float(omega_series[idx[0]]))
-        out[idx] = _bilinear(blend, grid0, p1[idx], dp[idx], stats)
+    for group in np.split(order, starts):
+        blend = _blend_cells(table, float(omega_series[group[0]]))
+        for a in range(0, group.size, _BLOCK_ROWS):
+            idx = group[a:a + _BLOCK_ROWS]
+            p = p1[idx]
+            dp = p - p1[idx - 1]              # backward increment,
+            dp[idx == 0] = p1[1] - p1[0]      # and dp[0] = dp[1]
+            out[idx] = _bilinear(blend, grid0, p, dp, stats)
 
     return SeriesEstimate(v=out[:, 1], f_out=out[:, 0], h=out[:, 2],
                           omega=omega_series, stats=stats)

@@ -299,8 +299,9 @@ def criterion_9(ctx: ValidationContext) -> CriterionResult:
     """Tire inertia term stays a small fraction of the wheel load."""
     _, series, mask = _qc_window(ctx)
     m_t = ctx.truck.linkage.m_t
-    frac = float(np.max(np.abs(m_t * series.z_ddot_t[mask]))
-                 / np.mean(series.f_tire[mask]))
+    rows = series.rows()
+    frac = float(np.max(np.abs(m_t * rows.z_ddot_t[mask]))
+                 / np.mean(rows.f_tire[mask]))
     ok = frac < 0.03
     return CriterionResult(9, "tire-inertia fraction", ok,
                            f"max(m_t*ztt)/mean(F_tire) = {frac:.3%} (<3%)")

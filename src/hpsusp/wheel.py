@@ -9,7 +9,8 @@ pipeline that starts from the raw pressure trace and the lookup table.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .estimator import PressureTrace
 __all__ = [
     "GeometrySingularityError",
     "WheelLiftoffWarning",
+    "WheelLoadRows",
     "WheelLoadSeries",
     "inclination",
     "lower_arm_angle",
@@ -31,6 +33,7 @@ __all__ = [
 ]
 
 COS_SINGULARITY = 0.1
+_BLOCK_ROWS = 8192       # rows per kinematic-chain evaluation in the liftoff pass
 
 
 class GeometrySingularityError(ValueError):
@@ -114,9 +117,8 @@ def wheel_load(f_out, i_sus, z_ddot_t, link: WheelLinkage, warn_liftoff: bool = 
     return float(f) if f.ndim == 0 else f
 
 
-@dataclass
-class WheelLoadSeries:
-    """Per-sample wheel-load estimate plus the intermediate chain."""
+class WheelLoadRows(NamedTuple):
+    """The wheel-load chain's channels for a range of rows."""
 
     f_tire: np.ndarray
     f_out: np.ndarray
@@ -127,9 +129,63 @@ class WheelLoadSeries:
     beta: np.ndarray
     i_sus: np.ndarray
     z_ddot_t: np.ndarray
+
+
+@dataclass
+class WheelLoadSeries:
+    """Per-sample wheel-load estimate: the lookup estimate and its travel reference.
+
+    The kinematic chain is computed on demand for a range of rows
+    (`rows`), so no whole-trace copy of its channels need exist.
+    """
+
+    est: lookup.SeriesEstimate
+    h_ref: float             # travel reference: run mean of the looked-up h, m
+    dt: float
+    link: WheelLinkage
+    include_beta_rate: bool = False
     liftoff_count: int = 0
     first_valid: int = 2     # earlier samples carry difference start-up values
-    stats: lookup.QueryStats = field(default_factory=lookup.QueryStats)
+
+    @property
+    def n(self) -> int:
+        return self.est.f_out.size
+
+    @property
+    def stats(self) -> lookup.QueryStats:
+        return self.est.stats
+
+    @property
+    def f_tire(self) -> np.ndarray:
+        """Wheel load of the whole trace, its chain computed _BLOCK_ROWS rows at a time."""
+        f = np.empty(self.n)
+        for lo in range(0, self.n, _BLOCK_ROWS):
+            f[lo:lo + _BLOCK_ROWS] = self.rows(lo, lo + _BLOCK_ROWS).f_tire
+        return f
+
+    def rows(self, lo: int = 0, hi: int | None = None) -> WheelLoadRows:
+        """The chain for rows lo..hi-1, from those rows and the one before.
+
+        a_sus is the backward difference of v, and a_sus[0] = a_sus[1];
+        each value equals what a whole-trace evaluation gives.
+        """
+        hi = self.n if hi is None else min(hi, self.n)
+        est, link = self.est, self.link
+        if lo > 0:
+            a_sus = np.diff(est.v[lo - 1:hi]) / self.dt
+        else:
+            d = np.diff(est.v[:max(hi, 2)]) / self.dt
+            a_sus = np.concatenate((d[:1], d))[:hi]
+        h_sus = est.h[lo:hi] - self.h_ref
+        v, f_out = est.v[lo:hi], est.f_out[lo:hi]
+        theta, beta = lower_arm_angle(h_sus, link)
+        i_sus = suspension_ratio(theta, beta, link)
+        z_ddot = tire_acceleration(theta, beta, v, a_sus, link,
+                                   include_beta_rate=self.include_beta_rate)
+        f_tire = wheel_load(f_out, i_sus, z_ddot, link, warn_liftoff=False)
+        return WheelLoadRows(f_tire=f_tire, f_out=f_out, v=v, h_sus=h_sus,
+                             a_sus=a_sus, theta=theta, beta=beta, i_sus=i_sus,
+                             z_ddot_t=z_ddot)
 
 
 def estimate_wheel_load_series(trace: PressureTrace, table: lookup.LookupTable,
@@ -144,24 +200,17 @@ def estimate_wheel_load_series(trace: PressureTrace, table: lookup.LookupTable,
     acceleration, wheel load. The travel reference is the run mean of the
     looked-up h (static operating point), so theta measures deviation from
     static equilibrium.
+
+    One pass over the rows, _BLOCK_ROWS at a time, counts liftoff and
+    raises any GeometrySingularityError before the caller writes output.
     """
     est = lookup.estimate_series(trace, table, omega=omega)
-    h_sus = est.h - est.h.mean()
-
-    a_sus = np.empty_like(est.v)
-    a_sus[1:] = np.diff(est.v) / trace.dt
-    a_sus[0] = a_sus[1]
-
-    theta, beta = lower_arm_angle(h_sus, link)
-    i_sus = suspension_ratio(theta, beta, link)
-    z_ddot = tire_acceleration(theta, beta, est.v, a_sus, link,
-                               include_beta_rate=include_beta_rate)
-    f_tire = wheel_load(est.f_out, i_sus, z_ddot, link, warn_liftoff=False)
-    liftoff = int(np.count_nonzero(f_tire < 0.0))
-    if liftoff:
-        warnings.warn(f"wheel load negative at {liftoff} sample(s): liftoff",
-                      WheelLiftoffWarning, stacklevel=2)
-    return WheelLoadSeries(f_tire=f_tire, f_out=est.f_out, v=est.v,
-                           h_sus=h_sus, a_sus=a_sus, theta=theta, beta=beta,
-                           i_sus=i_sus, z_ddot_t=z_ddot,
-                           liftoff_count=liftoff, stats=est.stats)
+    series = WheelLoadSeries(est=est, h_ref=est.h.mean(), dt=trace.dt, link=link,
+                             include_beta_rate=include_beta_rate)
+    series.liftoff_count = sum(
+        int(np.count_nonzero(series.rows(lo, lo + _BLOCK_ROWS).f_tire < 0.0))
+        for lo in range(0, series.n, _BLOCK_ROWS))
+    if series.liftoff_count:
+        warnings.warn(f"wheel load negative at {series.liftoff_count} sample(s): "
+                      "liftoff", WheelLiftoffWarning, stacklevel=2)
+    return series

@@ -1,0 +1,169 @@
+"""Row blocks: no output depends on the block, batch or read-chunk sizes.
+
+The wheel-load path reads its trace in chunks, queries the table in row
+blocks, batches its window FFTs and computes the kinematic chain per row
+block inside the CSV writers. Each size is patched, all at once, to sizes
+around the trace length and the blend groups, and every output is compared
+with the unpatched run, where the trace is one block.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from hpsusp import cli, core, estimator, io, lookup, oracle, wheel
+
+DT = 1.0 / 360.0
+SIZES = ["1", "2", "7", "n-1", "n", "n+1", "split"]
+
+
+@pytest.fixture(scope="module")
+def case(tmp_path_factory, truck):
+    """A truck sweep trace and table on disk, and the unpatched CLI outputs."""
+    d = tmp_path_factory.mktemp("blocks")
+    cfg = truck.suspension
+    n_eff = core.effective_polytropic_index(2 * math.pi * 5.5, cfg.charge, cfg.fluid)
+    offset = oracle.static_gas_offset(cfg, truck.table.static_force_n, n_eff)
+    exc = oracle.Excitation(kind="linear-sweep", amplitudes=(3.0e-3,),
+                            frequencies=(3.0, 8.0), duration=7.0, offset=offset)
+    io.write_trace_csv(d / "trace.csv", oracle.simulate_suspension(exc, cfg, DT))
+    table = lookup.build_table(cfg, truck.table)
+    lookup.save_table(table, d / "truck.hplt")
+    trace, _ = io.read_trace_csv(d / "trace.csv")
+    est = lookup.estimate_series(trace, table, omega="auto")
+    # a block size that ends a block inside the largest blend group
+    _, groups = np.unique(est.omega, return_counts=True)
+    split = int(groups.max()) // 2 + 1
+    assert 7 < split < groups.max() < trace.n
+    c = {"dir": d, "table": table, "trace": trace, "split": split}
+    c["ref"] = _cli_outputs(d, "ref")
+    return c
+
+
+def _size(case, name: str) -> int:
+    n = case["trace"].n
+    return {"n-1": n - 1, "n": n, "n+1": n + 1, "split": case["split"]}.get(
+        name) or int(name)
+
+
+def _patch(monkeypatch, rows: int) -> None:
+    monkeypatch.setattr(io, "_READ_ROWS", rows)
+    monkeypatch.setattr(io, "_CHUNK_ROWS", rows)
+    monkeypatch.setattr(lookup, "_BLOCK_ROWS", rows)
+    monkeypatch.setattr(wheel, "_BLOCK_ROWS", rows)
+    monkeypatch.setattr(estimator, "_FFT_SAMPLES", rows)
+
+
+def _cli_outputs(d, tag: str) -> dict:
+    """Bytes written by wheel-load and estimate --mode lookup, with their exit codes."""
+    calls = {
+        "wheel-auto": ["wheel-load", "--omega", "auto"],
+        "wheel-fixed": ["wheel-load", "--omega", "40"],
+        "lookup": ["estimate", "--mode", "lookup", "--omega", "auto"],
+    }
+    out = {}
+    for name, argv in calls.items():
+        path = d / f"{tag}-{name}.csv"
+        code = cli.main(argv + ["--preset", "mining-truck", "--trace",
+                                str(d / "trace.csv"), "--table",
+                                str(d / "truck.hplt"), "--out", str(path)])
+        out[name] = (code, path.read_bytes())
+    return out
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_cli_files_equal_unpatched_bytes(case, monkeypatch, capsys, size):
+    _patch(monkeypatch, _size(case, size))
+    got = _cli_outputs(case["dir"], f"s{size}")
+    capsys.readouterr()
+    for name, (code, data) in case["ref"].items():
+        assert got[name][0] == code == 0, name
+        assert got[name][1] == data, name
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("omega", ["auto", 2 * math.pi * 5.5])
+def test_series_estimate_and_stats_equal(case, monkeypatch, size, omega):
+    trace, table = case["trace"], case["table"]
+    ref = lookup.estimate_series(trace, table, omega=omega)
+    _patch(monkeypatch, _size(case, size))
+    est = lookup.estimate_series(trace, table, omega=omega)
+    for name in ("v", "f_out", "h", "omega"):
+        assert np.array_equal(getattr(est, name), getattr(ref, name)), name
+    assert est.stats == ref.stats
+    assert est.stats.n_queries == trace.n
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_wheel_load_and_liftoff_count_equal(case, monkeypatch, truck, size):
+    # a heavy tire without gravity lifts off wherever it accelerates upward
+    link = dataclasses.replace(truck.linkage, m_u=1.0e5, m_t=1.0e5, g=0.0)
+    args = (case["trace"], case["table"], link)
+    with pytest.warns(wheel.WheelLiftoffWarning):
+        ref = wheel.estimate_wheel_load_series(*args).rows()
+    _patch(monkeypatch, _size(case, size))
+    with pytest.warns(wheel.WheelLiftoffWarning):
+        series = wheel.estimate_wheel_load_series(*args)
+    assert np.array_equal(series.f_tire, ref.f_tire)
+    assert series.liftoff_count == np.count_nonzero(ref.f_tire < 0.0) > 0
+
+
+def _read_error(path) -> str:
+    with pytest.raises(io.CsvFormatError) as info:
+        io.read_trace_csv(path)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("size", ["1", "2", "7"])
+@pytest.mark.parametrize("bad, expected", [(b"oops", "bad.csv:41: non-numeric field"),
+                                           (b"1\xff", "bad.csv: not UTF-8 text")])
+def test_bad_field_in_later_chunk_reports_as_unpatched(case, monkeypatch, capsys,
+                                                       tmp_path, size, bad, expected):
+    lines = (case["dir"] / "trace.csv").read_bytes().split(b"\r\n")
+    fields = lines[40].split(b",")
+    lines[40] = b",".join(fields[:1] + [bad] + fields[2:])
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\r\n".join(lines))
+    argv = ["estimate", "--trace", str(path), "--out", str(tmp_path / "o.csv")]
+    message, code = _read_error(path), cli.main(argv)
+    ref_err = capsys.readouterr().err
+    assert code == 3 and expected in message
+    _patch(monkeypatch, _size(case, size))
+    assert _read_error(path) == message
+    assert cli.main(argv) == code
+    assert capsys.readouterr().err == ref_err
+
+
+def test_singular_sample_in_last_block_raises_before_output(case, monkeypatch,
+                                                            capsys, truck, tmp_path):
+    # A level trace whose last sample jumps: only that sample's travel is
+    # large, and a short force arm turns it past the ratio singularity.
+    table = case["table"]
+    g = table.grids[0]
+    p = np.full(200, 0.5 * (g.p_min + g.p_max))
+    p[-1] += 0.2 * (g.p_max - g.p_min)
+    trace = estimator.PressureTrace(dt=DT, samples=p, t0_temperature=30.0)
+    series = wheel.estimate_wheel_load_series(trace, table, truck.linkage,
+                                              omega=g.omega)
+    h_sus = series.rows().h_sus
+    assert np.all(np.abs(h_sus[:-1]) < 0.01 * h_sus[-1])
+    l_eff = float(h_sus[-1]) / 2.0   # theta ~ 1.7 rad at the last sample only
+    link = dataclasses.replace(truck.linkage, l_eff=l_eff)
+    trace_path = tmp_path / "jump.csv"
+    io._write_rows(trace_path, ["t_s", "p1_pa"], [trace.t, p])
+    cfg_path = tmp_path / "short-arm.cfg"
+    cfg_path.write_text(f"preset = mining-truck\nlinkage.l_eff_m = {l_eff!r}\n")
+    out = tmp_path / "wheel.csv"
+    _patch(monkeypatch, trace.n - 1)  # the last block holds the last sample alone
+
+    with pytest.raises(wheel.GeometrySingularityError):
+        wheel.estimate_wheel_load_series(trace, table, link, omega=g.omega)
+    code = cli.main(["wheel-load", "--config", str(cfg_path), "--trace",
+                     str(trace_path), "--table", str(case["dir"] / "truck.hplt"),
+                     "--omega", repr(g.omega), "--out", str(out)])
+    assert code == 4 and "transmission ratio singular" in capsys.readouterr().err
+    assert not out.exists()

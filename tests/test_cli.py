@@ -182,6 +182,14 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_module_entry_point_warns_nothing():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-W", "default", "-m", "hpsusp.cli",
+                           "--help"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0 and "usage: hpsusp" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
+
+
 class TestFlagValues:
     @pytest.mark.parametrize("argv", [
         ("estimate", "--omega", "abc"),

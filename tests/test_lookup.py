@@ -247,6 +247,25 @@ class TestEstimateSeries:
             tracemalloc.stop()
         assert peak / n < 256
 
+    @pytest.mark.parametrize("omega", ["auto", 2 * np.pi * 5.5])
+    def test_memory_per_added_sample(self, bench_table, omega):
+        # Outputs hold 32 B per sample (f_out, v, h, omega) and the blend
+        # grouping's sort order 8 B; measured 38.3 (auto) and 40.0 (fixed)
+        # per sample added between these lengths, 91-128 and 240 before
+        # the groups were queried in row blocks. 44 leaves 10 % for the
+        # peak falling in another stage at one of the two lengths.
+        peaks = {}
+        for n in (36001, 108001):
+            trace = self._chirp(bench_table, n)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                lookup.estimate_series(trace, bench_table, omega=omega)
+                peaks[n] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert (peaks[108001] - peaks[36001]) / (108001 - 36001) < 44
+
 
 class TestSerialization:
     def test_round_trip_identity(self, bench_table):
