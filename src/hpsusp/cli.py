@@ -161,10 +161,8 @@ def cmd_wheel_load(args) -> int:
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
     table = lookup.load_table(args.table, cfg.suspension)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rep = lookup.benchmark(table, cfg.suspension,
-                               n_samples=args.samples, repeats=args.repeats)
+    rep = lookup.benchmark(table, cfg.suspension,
+                           n_samples=args.samples, repeats=args.repeats)
     print(f"iterative: {rep['iterative_us_per_sample']:.3f} us/sample")
     print(f"lookup:    {rep['lookup_us_per_sample']:.3f} us/sample")
     print(f"speedup:   {rep['speedup']:.1f}x "
@@ -177,9 +175,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        results = validate.run_all()
+    results = validate.run_all()
     for r in results:
         print(r.line())
     failed = [r for r in results if not r.passed]

@@ -13,13 +13,11 @@ Q and displacements are positive in compression.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "CavitationWarning",
     "FluidProperties",
     "SuspensionGeometry",
     "GasChargeState",
@@ -32,17 +30,13 @@ __all__ = [
     "gas_force",
     "effective_flow_area",
     "damping_pressure_drop",
-    "annular_pressure",
     "damping_force",
     "friction_force",
     "oil_compression",
     "total_travel",
+    "force_chain",
     "differentiate",
 ]
-
-
-class CavitationWarning(UserWarning):
-    """Annular chamber pressure dropped to or below zero."""
 
 
 @dataclass(frozen=True)
@@ -217,23 +211,6 @@ def damping_pressure_drop(flow: FlowState, geom: SuspensionGeometry, fluid: Flui
     return dp_total, dp_visc, dp_inert, dp_orif, dp_gap
 
 
-def annular_pressure(p1, dp_total):
-    """Annular chamber pressure P2 = P1 - dP.
-
-    The pressure-drop chain depends only on the flow state, never on P2
-    itself, so this is a single explicit evaluation rather than a
-    fixed-point iteration. Non-positive results are returned as computed
-    but flagged with a CavitationWarning.
-    """
-    p2 = np.asarray(p1, dtype=float) - np.asarray(dp_total, dtype=float)
-    n_cav = int(np.count_nonzero(p2 <= 0.0))
-    if n_cav:
-        warnings.warn(
-            f"annular pressure non-positive at {n_cav} sample(s): cavitation",
-            CavitationWarning, stacklevel=2)
-    return float(p2) if p2.ndim == 0 else p2
-
-
 def damping_force(dp_total, geom: SuspensionGeometry):
     """Hydraulic damping force, dp_total acting on the annular area."""
     f = np.asarray(dp_total, dtype=float) * geom.a3
@@ -268,6 +245,24 @@ def total_travel(h_gas, v_gas, dv_oil, geom: SuspensionGeometry):
     dv_gas = geom.v0_gas - np.asarray(v_gas, dtype=float)
     h = np.asarray(h_gas, dtype=float) + (dv_gas + np.asarray(dv_oil, dtype=float)) / geom.a3
     return float(h) if h.ndim == 0 else h
+
+
+def force_chain(p1, v, dq_dt, cfg) -> tuple:
+    """Hydraulic and friction chain at gas pressure p1 and piston velocity v.
+
+    cfg is a SuspensionConfig; dq_dt is the flow acceleration of the
+    fluid-inertia term. Arrays broadcast against each other. Returns (p2,
+    dp_total, f_gas, f_damp, f_fric); the output force is f_gas + f_damp +
+    f_fric.
+    """
+    geom, fluid = cfg.geom, cfg.fluid
+    flow = FlowState(q=geom.a3 * v, dq_dt=dq_dt, v=v)
+    dp_total, _, _, _, _ = damping_pressure_drop(flow, geom, fluid)
+    p2 = p1 - dp_total
+    f_gas = gas_force(p1, p2, geom, fluid)
+    f_damp = damping_force(dp_total, geom)
+    f_fric = friction_force(v, cfg.friction, squared_exponent=cfg.use_alg1_friction)
+    return p2, dp_total, f_gas, f_damp, f_fric
 
 
 def differentiate(series, dt: float, sign: float = 1.0) -> np.ndarray:

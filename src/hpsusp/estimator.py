@@ -21,7 +21,6 @@ __all__ = [
     "NoDominantFrequencyError",
     "estimate_peak_frequency",
     "window_peak_frequencies",
-    "force_chain",
     "run",
 ]
 
@@ -128,24 +127,6 @@ def lowpass(samples: np.ndarray, dt: float, cutoff_hz: float) -> np.ndarray:
     return sp_signal.filtfilt(b, a, samples)
 
 
-def force_chain(p1, v, dq_dt, cfg: SuspensionConfig) -> tuple:
-    """Hydraulic and friction chain at gas pressure p1 and piston velocity v.
-
-    dq_dt is the flow acceleration of the fluid-inertia term. Arrays
-    broadcast against each other. Returns (p2, dp_total, f_gas, f_damp,
-    f_fric); the output force is f_gas + f_damp + f_fric.
-    """
-    geom, fluid = cfg.geom, cfg.fluid
-    flow = core.FlowState(q=geom.a3 * v, dq_dt=dq_dt, v=v)
-    dp_total, _, _, _, _ = core.damping_pressure_drop(flow, geom, fluid)
-    p2 = p1 - dp_total
-    f_gas = core.gas_force(p1, p2, geom, fluid)
-    f_damp = core.damping_force(dp_total, geom)
-    f_fric = core.friction_force(v, cfg.friction,
-                                 squared_exponent=cfg.use_alg1_friction)
-    return p2, dp_total, f_gas, f_damp, f_fric
-
-
 def run(trace: PressureTrace, cfg: SuspensionConfig,
         freq_override: float | None = None,
         flow_inertia: bool = True) -> ForceBreakdown:
@@ -183,7 +164,7 @@ def run(trace: PressureTrace, cfg: SuspensionConfig,
     else:
         dq_dt = np.zeros_like(v)
 
-    p2, dp_total, f_gas, f_damp, f_fric = force_chain(p1, v, dq_dt, cfg)
+    p2, dp_total, f_gas, f_damp, f_fric = core.force_chain(p1, v, dq_dt, cfg)
     cavitation_count = int(np.count_nonzero(p2 <= 0.0))
     f_out = f_gas + f_damp + f_fric
 

@@ -203,7 +203,7 @@ def _grid(cfg: SuspensionConfig, freq_hz: float, dt: float, axes: tuple,
 
     h, h_prev = h_gas(p), h_gas(p - dp)
     v = (h - h_prev) / dt
-    _, _, f_gas, f_damp, f_fric = estimator.force_chain(p, v, 0.0, cfg)
+    _, _, f_gas, f_damp, f_fric = core.force_chain(p, v, 0.0, cfg)
     cells = np.stack(np.broadcast_arrays(f_gas + f_damp + f_fric, v, h), axis=-1)
     theta = 2.0 * np.pi * freq_hz * dt
     x, y = h - offset, h_prev - offset
@@ -225,8 +225,8 @@ def build_table(cfg: SuspensionConfig,
     """
     settings = settings or TableBuildSettings()
     freqs = sorted(float(f) for f in settings.frequencies_hz)
-    if len(freqs) < 2:
-        raise ValueError("need at least two characterization frequencies")
+    if len(set(freqs)) < max(len(freqs), 2):
+        raise ValueError("need at least two distinct characterization frequencies")
 
     sweeps = [_outer_sweep(cfg, f, settings) for f in freqs]
     p_lo = min(float(p1.min()) for p1, *_ in sweeps)
@@ -251,36 +251,50 @@ def build_table(cfg: SuspensionConfig,
 # Queries
 # ---------------------------------------------------------------------------
 
-def _blend_cells(table: LookupTable, omega: float) -> LookupGrid:
-    """Grid at an arbitrary frequency (linear blend, clamped ends).
+def _bracket(table: LookupTable, omega: float) -> tuple:
+    """(lo, hi, w, nearest): the grids bracketing omega and hi's blend weight.
 
-    Its cells blend the two bracketing grids; its swept region is the
-    nearest grid's (the lower one on a tie), which decides whether a
-    query counts as extrapolated.
+    Beyond either end both grids are the end grid (clamped). The nearest
+    grid, the lower one on a tie, decides whether a query counts as
+    extrapolated.
     """
     grids = table.grids
     if omega <= grids[0].omega:
-        return grids[0]
+        return grids[0], grids[0], 0.0, grids[0]
     if omega >= grids[-1].omega:
-        return grids[-1]
+        return grids[-1], grids[-1], 0.0, grids[-1]
     for lo, hi in zip(grids[:-1], grids[1:]):
         if lo.omega <= omega <= hi.omega:
             w = (omega - lo.omega) / (hi.omega - lo.omega)
-            near = lo if omega - lo.omega <= hi.omega - omega else hi
-            return LookupGrid(omega=omega, p_min=lo.p_min, p_max=lo.p_max,
-                              dp_min=lo.dp_min, dp_max=lo.dp_max,
-                              cells=(1.0 - w) * lo.cells + w * hi.cells,
-                              filled=near.filled)
+            return lo, hi, w, (lo if omega - lo.omega <= hi.omega - omega else hi)
     raise AssertionError("unreachable: grids are sorted")
 
 
-def _bilinear(blend: LookupGrid, grid0: LookupGrid, p, dp,
-              stats: QueryStats | None = None):
-    """Clamped bilinear interpolation in blend's cells; axes from grid0 (shared).
+def _blend(bracket: tuple, nodes):
+    """Cells at flat node indices i * N_DP + j, blended between the bracket.
 
-    With stats given, clamped queries are counted, and so are queries
-    whose nearest node (after clamping) lies outside blend's swept region.
+    The blend is elementwise in float32, so any set of nodes reads the
+    same values as the blend of the whole grids.
     """
+    lo, hi, w, _ = bracket
+    cells = lo.cells.reshape(-1, 3).take(nodes, axis=0)
+    if lo is hi:
+        return cells
+    return (1.0 - w) * cells + w * hi.cells.reshape(-1, 3).take(nodes, axis=0)
+
+
+def _interpolate(table: LookupTable, omega: float, p, dp,
+                 stats: QueryStats | None = None):
+    """Clamped bilinear interpolation at blend frequency omega.
+
+    Only the four corner cells of each query are blended between the
+    bracketing grids; the axes are grid 0's, which every grid shares.
+    With stats given, clamped queries are counted, and so are queries
+    whose nearest node (after clamping) lies outside the nearest grid's
+    swept region.
+    """
+    bracket = _bracket(table, omega)
+    near, grid0 = bracket[3], table.grids[0]
     p = np.atleast_1d(np.asarray(p, dtype=float))
     dp = np.atleast_1d(np.asarray(dp, dtype=float))
     x = (p - grid0.p_min) / (grid0.p_max - grid0.p_min) * (N_P - 1)
@@ -294,27 +308,23 @@ def _bilinear(blend: LookupGrid, grid0: LookupGrid, p, dp,
     if stats is not None:
         # nearest node, rounding half to even as round() does
         node = np.rint(x).astype(np.intp) * N_DP + np.rint(y).astype(np.intp)
-        stats.extrapolated += p.size - int(np.count_nonzero(blend.filled.ravel()[node]))
+        stats.extrapolated += p.size - int(np.count_nonzero(near.filled.ravel()[node]))
         del node  # freed before the corner products, which set the peak
-    cells = blend.cells
     i0 = np.minimum(x.astype(np.intp), N_P - 2)
     j0 = np.minimum(y.astype(np.intp), N_DP - 2)
     fx = (x - i0)[:, None]
     fy = (y - j0)[:, None]
-    c00 = cells[i0, j0]
-    c10 = cells[i0 + 1, j0]
-    c01 = cells[i0, j0 + 1]
-    c11 = cells[i0 + 1, j0 + 1]
-    out = (c00 * (1 - fx) * (1 - fy) + c10 * fx * (1 - fy)
-           + c01 * (1 - fx) * fy + c11 * fx * fy)
-    return out
+    n00 = i0 * N_DP + j0
+    return (_blend(bracket, n00) * (1 - fx) * (1 - fy)
+            + _blend(bracket, n00 + N_DP) * fx * (1 - fy)
+            + _blend(bracket, n00 + 1) * (1 - fx) * fy
+            + _blend(bracket, n00 + N_DP + 1) * fx * fy)
 
 
 def query(table: LookupTable, p: float, dp: float, omega: float,
           stats: QueryStats | None = None):
     """Single lookup: (f_out, v, h) at one pressure pair and blend frequency."""
-    out = _bilinear(_blend_cells(table, omega), table.grids[0], p, dp, stats)
-    f_out, v, h = (float(x) for x in out[0])
+    f_out, v, h = (float(x) for x in _interpolate(table, omega, p, dp, stats)[0])
     return f_out, v, h
 
 
@@ -339,18 +349,17 @@ def estimate_series(trace: estimator.PressureTrace, table: LookupTable,
 
     omega may be a fixed blend frequency in rad/s or "auto", which tracks
     the dominant frequency over one-second windows hopped every half
-    second and assigns each sample the nearest window's estimate. Both
-    modes run in time linear but for one stable sort of the per-sample
-    frequencies. Each blend group is queried _BLOCK_ROWS samples at a
-    time, so beyond the outputs (32 B per sample) only the sort order
-    (8 B per sample) grows with the trace.
+    second and assigns each sample the nearest window's estimate. Each run
+    of equal blend frequency is queried in trace order, _BLOCK_ROWS
+    samples at a time, so both modes run in linear time and beyond the
+    outputs (32 B per sample) only the boundaries of the runs grow with
+    the trace.
     """
     if abs(trace.dt - table.dt) > 1e-9:
         raise TimeBaseError(
             f"trace dt {trace.dt!r} does not match table dt {table.dt!r}")
     p1 = trace.samples
     stats = QueryStats()
-    grid0 = table.grids[0]
     if isinstance(omega, str):
         if omega != "auto":
             raise ValueError("omega must be a float or 'auto'")
@@ -360,21 +369,17 @@ def estimate_series(trace: estimator.PressureTrace, table: LookupTable,
             raise ValueError("omega must be finite")
         omega_series = np.full(p1.size, float(omega))
 
-    # Group the samples by blend frequency once. A stable sort keeps each
-    # group in trace order and is near-linear on the runs that tracking gives.
-    order = np.argsort(omega_series, kind="stable")
-    grouped = omega_series[order]
-    starts = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
-    del grouped
     out = np.empty((p1.size, 3))
-    for group in np.split(order, starts):
-        blend = _blend_cells(table, float(omega_series[group[0]]))
-        for a in range(0, group.size, _BLOCK_ROWS):
-            idx = group[a:a + _BLOCK_ROWS]
-            p = p1[idx]
-            dp = p - p1[idx - 1]              # backward increment,
-            dp[idx == 0] = p1[1] - p1[0]      # and dp[0] = dp[1]
-            out[idx] = _bilinear(blend, grid0, p, dp, stats)
+    ends = (np.flatnonzero(omega_series[1:] != omega_series[:-1]) + 1).tolist() + [p1.size]
+    for start, end in zip([0] + ends[:-1], ends):     # runs of equal omega
+        omega_run = float(omega_series[start])
+        for a in range(start, end, _BLOCK_ROWS):
+            b = min(a + _BLOCK_ROWS, end)
+            p = p1[a:b]
+            dp = p - (p1[a - 1:b - 1] if a else np.r_[p1[0], p1[:b - 1]])
+            if a == 0:
+                dp[0] = p1[1] - p1[0]         # dp[0] = dp[1]
+            out[a:b] = _interpolate(table, omega_run, p, dp, stats)
 
     return SeriesEstimate(v=out[:, 1], f_out=out[:, 0], h=out[:, 2],
                           omega=omega_series, stats=stats)
@@ -415,14 +420,32 @@ def deserialize(blob: bytes, expected_digest: int | None = None) -> LookupTable:
         raise DigestMismatchError(
             "table was built for a different suspension configuration "
             f"(digest {digest:#018x}, expected {expected_digest:#018x})")
+    if not 0.0 < dt < np.inf:
+        raise TableFormatError(f"table sampling period {dt!r} is not positive and finite")
+    if n_freq == 0:
+        raise TableFormatError("table holds no grids")
     off = _HEADER.size
     grids = []
-    for _ in range(n_freq):
+    for k in range(n_freq):
         if len(blob) < off + _GRID_HEADER.size:
             raise TruncatedTableError("grid header truncated")
         omega, n_p, n_dp, p_min, p_max, dp_min, dp_max = \
             _GRID_HEADER.unpack_from(blob, off)
         off += _GRID_HEADER.size
+        # queries bracket omega in grid order and read grid 0's axes for all
+        if (n_p, n_dp) != (N_P, N_DP):
+            raise TableFormatError(
+                f"grid {k} has {n_p} x {n_dp} cells, expected {N_P} x {N_DP}")
+        if not (grids[-1].omega if grids else 0.0) < omega < np.inf:
+            raise TableFormatError(
+                f"grid {k} frequency {omega!r} rad/s is not finite and above "
+                "the previous grid's (or 0)")
+        axes = (p_min, p_max, dp_min, dp_max)
+        if grids and axes != (grids[0].p_min, grids[0].p_max,
+                              grids[0].dp_min, grids[0].dp_max):
+            raise TableFormatError(f"grid {k} axes differ from grid 0's")
+        if not (-np.inf < p_min < p_max < np.inf and -np.inf < dp_min < dp_max < np.inf):
+            raise TableFormatError(f"grid {k} axes are not finite and ascending")
         n_cells = n_p * n_dp
         cells_bytes = n_cells * 3 * 4
         if len(blob) < off + cells_bytes + n_cells:
@@ -549,7 +572,8 @@ def benchmark(table: LookupTable, cfg: SuspensionConfig,
     n = trace.n
     omega = 2.0 * np.pi * freq_hz
     n_eff = core.effective_polytropic_index(omega, cfg.charge, cfg.fluid)
-    cells_f = np.ascontiguousarray(_blend_cells(table, omega).cells[:, :, 0], dtype=float)
+    f_cells = _blend(_bracket(table, omega), np.arange(N_P * N_DP))[:, 0]
+    cells_f = np.ascontiguousarray(f_cells.reshape(N_P, N_DP), dtype=float)
     grid0 = table.grids[0]
 
     t_iter, t_look, t_iter_batch, t_look_batch = [], [], [], []

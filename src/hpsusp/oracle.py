@@ -156,30 +156,6 @@ class OracleTrace:
                              t0_temperature=self.t0_temperature)
 
 
-def _suspension_forces(h, v, a, cfg: SuspensionConfig, n_eff: float):
-    """Force chain of the forward model at prescribed kinematics.
-
-    Oil compressibility is neglected in the forward displacement-to-
-    pressure mapping (relative volume effect ~ dP/K_bulk); the inverse
-    estimator keeps it.
-    """
-    geom, fluid, charge = cfg.geom, cfg.fluid, cfg.charge
-    v_gas = geom.v0_gas - geom.a1 * np.asarray(h, dtype=float)
-    if np.any(v_gas <= 0.0):
-        raise StrokeError("gas chamber volume exhausted by the prescribed stroke")
-    p1 = core.gas_pressure(v_gas, charge, geom, n_eff)
-    q = geom.a3 * np.asarray(v, dtype=float)
-    dq_dt = geom.a3 * np.asarray(a, dtype=float)
-    dp_total, _, _, _, _ = core.damping_pressure_drop(
-        core.FlowState(q=q, dq_dt=dq_dt, v=v), geom, fluid)
-    p2 = p1 - dp_total
-    f_gas = core.gas_force(p1, p2, geom, fluid)
-    f_damp = core.damping_force(dp_total, geom)
-    f_fric = core.friction_force(v, cfg.friction,
-                                 squared_exponent=cfg.use_alg1_friction)
-    return p1, p2, f_gas, f_damp, f_fric
-
-
 def simulate_suspension(excitation: Excitation, cfg: SuspensionConfig,
                         dt: float, freq_for_n_eff: float | None = None) -> OracleTrace:
     """Prescribed-displacement forward run of one suspension unit.
@@ -201,7 +177,14 @@ def simulate_suspension(excitation: Excitation, cfg: SuspensionConfig,
     f_hz = excitation.primary_frequency if freq_for_n_eff is None else freq_for_n_eff
     n_eff = core.effective_polytropic_index(2.0 * np.pi * f_hz, cfg.charge, cfg.fluid)
 
-    p1, p2, f_gas, f_damp, f_fric = _suspension_forces(h, v, a, cfg, n_eff)
+    # Oil compressibility is neglected in the forward displacement-to-
+    # pressure mapping (relative volume effect ~ dP/K_bulk); the inverse
+    # estimator keeps it.
+    v_gas = cfg.geom.v0_gas - cfg.geom.a1 * h
+    if np.any(v_gas <= 0.0):
+        raise StrokeError("gas chamber volume exhausted by the prescribed stroke")
+    p1 = core.gas_pressure(v_gas, cfg.charge, cfg.geom, n_eff)
+    p2, _, f_gas, f_damp, f_fric = core.force_chain(p1, v, cfg.geom.a3 * a, cfg)
     return OracleTrace(dt=dt, h=h, p1=p1, p2=p2,
                        f_out=f_gas + f_damp + f_fric, v=v,
                        f_gas=f_gas, f_damp=f_damp, f_fric=f_fric,

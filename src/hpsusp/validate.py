@@ -112,9 +112,7 @@ def criterion_1(ctx: ValidationContext) -> CriterionResult:
     trace = oracle.simulate_suspension(exc, ctx.bench30, ctx.dt)
     ptrace = trace.to_pressure_trace()
     start = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", core.CavitationWarning)
-        est = estimator.run(ptrace, ctx.bench30)
+    est = estimator.run(ptrace, ctx.bench30)
     elapsed = time.perf_counter() - start
     rel = metrics.rel_rmse(est.f_out, trace.f_out)
     r2 = metrics.r_squared(est.f_out, trace.f_out)
@@ -147,9 +145,7 @@ def criterion_3(ctx: ValidationContext) -> CriterionResult:
     for f in BENCH_FREQS:
         trace = ctx.bench_trace(f)
         ptrace = trace.to_pressure_trace()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", core.CavitationWarning)
-            it = estimator.run(ptrace, ctx.bench30, freq_override=f)
+        it = estimator.run(ptrace, ctx.bench30, freq_override=f)
         lk = lookup.estimate_series(ptrace, ctx.table("bench30"),
                                     omega=2.0 * math.pi * f)
         rel = metrics.rel_rmse(lk.f_out, it.f_out)
@@ -161,10 +157,8 @@ def criterion_3(ctx: ValidationContext) -> CriterionResult:
 
 def criterion_4(ctx: ValidationContext) -> CriterionResult:
     """Per-sample cost: lookup at least 20x cheaper and under 10 us."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", core.CavitationWarning)
-        rep = lookup.benchmark(ctx.table("bench30"), ctx.bench30,
-                               n_samples=12000, repeats=10)
+    rep = lookup.benchmark(ctx.table("bench30"), ctx.bench30,
+                           n_samples=12000, repeats=10)
     ok = rep["speedup"] >= 20.0 and rep["lookup_us_per_sample"] < 10.0
     return CriterionResult(
         4, "lookup efficiency", ok,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -75,13 +76,30 @@ class TestExitCodes:
                                "--out", str(tmp_path / "o.csv"))
         assert code == 3 and "input error" in err and ":42:" in err
 
-    def test_corrupt_table_is_input_error(self, capsys, trace_file, tmp_path):
-        blob = tmp_path / "junk.hplt"
-        blob.write_bytes(b"NOPE" + b"\x00" * 64)
-        code, _, _ = run_cli(capsys, "estimate", "--trace", trace_file,
-                             "--mode", "lookup", "--table", str(blob),
-                             "--out", str(tmp_path / "o.csv"))
-        assert code == 3
+    def test_corrupt_table_is_input_error(self, capsys, trace_file, tmp_path,
+                                          bench_table):
+        replace, grids = dataclasses.replace, bench_table.grids
+        tables = {
+            "no grids": replace(bench_table, grids=()),
+            "dt": replace(bench_table, dt=float("nan")),
+            "50 x 200": replace(bench_table, grids=tuple(
+                replace(g, cells=g.cells[:50], filled=g.filled[:50]) for g in grids)),
+            "descending": replace(bench_table, grids=grids[::-1]),
+            "axes": replace(bench_table, grids=(
+                grids[0], replace(grids[1], p_min=grids[1].p_min + 1.0), *grids[2:])),
+            "flat axis": replace(bench_table, grids=tuple(
+                replace(g, p_max=g.p_min) for g in grids)),
+        }
+        blobs = {"junk": b"NOPE" + b"\x00" * 64,
+                 **{name: lookup.serialize(t) for name, t in tables.items()}}
+        for name, data in blobs.items():
+            blob = tmp_path / "junk.hplt"
+            blob.write_bytes(data)
+            for argv in (("estimate", "--mode", "lookup"), ("wheel-load",)):
+                code, _, err = run_cli(capsys, *argv, "--trace", trace_file,
+                                       "--table", str(blob),
+                                       "--out", str(tmp_path / "o.csv"))
+                assert code == 3 and "input error" in err, (name, argv)
 
     @pytest.mark.parametrize("flag, value", [
         ("--dt", "0"), ("--dt", "-1"), ("--dt", "nan"), ("--dt", "inf"),
@@ -252,6 +270,14 @@ def test_non_utf8_trace_is_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "estimate", "--trace", str(path),
                            "--out", str(tmp_path / "o.csv"))
     assert code == 3 and f"input error: {path}: not UTF-8 text" in err
+
+
+def test_bench_raises_no_warning(capsys, table_file):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text, _ = run_cli(capsys, "bench", "--table", table_file,
+                                "--samples", "10000", "--repeats", "10")
+    assert code == 0 and "speedup" in text
 
 
 @pytest.mark.parametrize("preset", ["bench-prototype", "mining-truck"])

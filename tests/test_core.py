@@ -124,12 +124,6 @@ class TestFlowChain:
                                               cfg.geom, cfg.fluid)[0]
             assert abs(ext) >= abs(comp)
 
-    def test_annular_pressure_and_cavitation(self, cfg):
-        assert core.annular_pressure(1.0e6, 5.0e3) == pytest.approx(0.995e6)
-        with pytest.warns(core.CavitationWarning):
-            p2 = core.annular_pressure(0.81e6, 0.9e6)
-        assert p2 == pytest.approx(-0.09e6)
-
     def test_damping_force(self, cfg):
         assert core.damping_force(1e5, cfg.geom) == pytest.approx(
             1e5 * cfg.geom.a3, rel=1e-12)

@@ -17,6 +17,56 @@ from hpsusp import config, core, estimator, lookup, metrics, oracle
 DT = 1.0 / 360.0
 
 
+def _ref_blend_cells(table, omega):
+    """Whole-grid blend: the reference the corner blend must equal bit for bit."""
+    grids = table.grids
+    if omega <= grids[0].omega:
+        return grids[0]
+    if omega >= grids[-1].omega:
+        return grids[-1]
+    for lo, hi in zip(grids[:-1], grids[1:]):
+        if lo.omega <= omega <= hi.omega:
+            w = (omega - lo.omega) / (hi.omega - lo.omega)
+            near = lo if omega - lo.omega <= hi.omega - omega else hi
+            return lookup.LookupGrid(omega=omega, p_min=lo.p_min, p_max=lo.p_max,
+                                     dp_min=lo.dp_min, dp_max=lo.dp_max,
+                                     cells=(1.0 - w) * lo.cells + w * hi.cells,
+                                     filled=near.filled)
+    raise AssertionError("unreachable: grids are sorted")
+
+
+def _ref_bilinear(blend, grid0, p, dp, stats=None):
+    """Clamped bilinear interpolation in blend's cells; axes from grid0 (shared)."""
+    N_P, N_DP = lookup.N_P, lookup.N_DP
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    dp = np.atleast_1d(np.asarray(dp, dtype=float))
+    x = (p - grid0.p_min) / (grid0.p_max - grid0.p_min) * (N_P - 1)
+    y = (dp - grid0.dp_min) / (grid0.dp_max - grid0.dp_min) * (N_DP - 1)
+    if stats is not None:
+        stats.n_queries += p.size
+        stats.p_clamped += int(np.count_nonzero((x < 0.0) | (x > N_P - 1)))
+        stats.dp_clamped += int(np.count_nonzero((y < 0.0) | (y > N_DP - 1)))
+    x = np.clip(x, 0.0, N_P - 1)
+    y = np.clip(y, 0.0, N_DP - 1)
+    if stats is not None:
+        # nearest node, rounding half to even as round() does
+        node = np.rint(x).astype(np.intp) * N_DP + np.rint(y).astype(np.intp)
+        stats.extrapolated += p.size - int(np.count_nonzero(blend.filled.ravel()[node]))
+        del node  # freed before the corner products, which set the peak
+    cells = blend.cells
+    i0 = np.minimum(x.astype(np.intp), N_P - 2)
+    j0 = np.minimum(y.astype(np.intp), N_DP - 2)
+    fx = (x - i0)[:, None]
+    fy = (y - j0)[:, None]
+    c00 = cells[i0, j0]
+    c10 = cells[i0 + 1, j0]
+    c01 = cells[i0, j0 + 1]
+    c11 = cells[i0 + 1, j0 + 1]
+    out = (c00 * (1 - fx) * (1 - fy) + c10 * fx * (1 - fy)
+           + c01 * (1 - fx) * fy + c11 * fx * fy)
+    return out
+
+
 class TestPressureToVelocity:
     def test_quasi_static_is_zero(self, bench_cfg):
         assert lookup.pressure_to_velocity(1.0e6, 0.0, DT, bench_cfg, 1.25) == 0.0
@@ -81,6 +131,10 @@ class TestBuildTable:
         with pytest.raises(ValueError):
             lookup.build_table(bench_cfg,
                                config.TableBuildSettings(frequencies_hz=(5.0,)))
+        # a repeated frequency would write a table that deserialize rejects
+        with pytest.raises(ValueError, match="distinct"):
+            lookup.build_table(bench_cfg,
+                               config.TableBuildSettings(frequencies_hz=(3.0, 5.0, 5.0)))
 
 
 class TestQuery:
@@ -112,6 +166,28 @@ class TestQuery:
         f7 = lookup.query(bench_table, p, 0.0, g7.omega)[0]
         f8 = lookup.query(bench_table, p, 0.0, g8.omega)[0]
         assert f_mid == pytest.approx(0.5 * (f7 + f8), rel=1e-6)
+
+    def test_equals_whole_grid_reference_bit_for_bit(self, bench_table):
+        # below, on, between (the middle one at a tie) and above the grid
+        # frequencies, with pressure pairs inside, outside the swept region
+        # and clamped on either axis
+        g = bench_table.grids[0]
+        oms = [gr.omega for gr in bench_table.grids]
+        omegas = [0.5 * oms[0], *oms, 0.5 * (oms[1] + oms[2]),
+                  oms[1] + 0.3 * (oms[2] - oms[1]), 2.0 * oms[-1]]
+        rng = np.random.default_rng(5)
+        p = g.p_min + (g.p_max - g.p_min) * rng.uniform(-0.2, 1.2, 300)
+        dp = g.dp_max * rng.uniform(-1.3, 1.3, 300)
+        stats, ref_stats = lookup.QueryStats(), lookup.QueryStats()
+        for omega in omegas:
+            ref = _ref_bilinear(_ref_blend_cells(bench_table, omega), g, p, dp,
+                                ref_stats)
+            out = [lookup.query(bench_table, float(a), float(b), omega, stats)
+                   for a, b in zip(p, dp)]
+            assert np.array_equal(np.array(out), ref), omega
+        assert stats == ref_stats
+        assert min(stats.p_clamped, stats.dp_clamped, stats.extrapolated) > 0
+        assert stats.extrapolated < stats.n_queries
 
     def test_out_of_range_clamps_and_counts(self, bench_table):
         g = bench_table.grids[0]
@@ -221,8 +297,8 @@ class TestEstimateSeries:
         ref = np.empty((p.size, 3))
         for w in np.unique(est.omega):
             mask = est.omega == w
-            ref[mask] = lookup._bilinear(lookup._blend_cells(bench_table, float(w)),
-                                         g, p[mask], dp[mask], stats)
+            ref[mask] = _ref_bilinear(_ref_blend_cells(bench_table, float(w)),
+                                      g, p[mask], dp[mask], stats)
         assert np.array_equal(est.f_out, ref[:, 0])
         assert np.array_equal(est.v, ref[:, 1])
         assert np.array_equal(est.h, ref[:, 2])
@@ -249,11 +325,12 @@ class TestEstimateSeries:
 
     @pytest.mark.parametrize("omega", ["auto", 2 * np.pi * 5.5])
     def test_memory_per_added_sample(self, bench_table, omega):
-        # Outputs hold 32 B per sample (f_out, v, h, omega) and the blend
-        # grouping's sort order 8 B; measured 38.3 (auto) and 40.0 (fixed)
-        # per sample added between these lengths, 91-128 and 240 before
-        # the groups were queried in row blocks. 44 leaves 10 % for the
-        # peak falling in another stage at one of the two lengths.
+        # Outputs hold 32 B per sample (f_out, v, h, omega); measured 30.3
+        # (auto) and 32.0 (fixed) per sample added between these lengths,
+        # 38.3 and 40.0 while the samples were sorted by blend frequency,
+        # 91-128 and 240 before the groups were queried in row blocks. 36
+        # leaves 10 % over the outputs for the peak falling in another
+        # stage at one of the two lengths.
         peaks = {}
         for n in (36001, 108001):
             trace = self._chirp(bench_table, n)
@@ -264,7 +341,7 @@ class TestEstimateSeries:
                 peaks[n] = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-        assert (peaks[108001] - peaks[36001]) / (108001 - 36001) < 44
+        assert (peaks[108001] - peaks[36001]) / (108001 - 36001) < 36
 
 
 class TestSerialization:
