@@ -34,17 +34,22 @@ class UsageError(ValueError):
 
 
 def _load_config(args) -> config.RunConfig:
-    if getattr(args, "config", None):
+    """The --config file, or the --preset at --t0; the file sets both itself."""
+    if args.config:
+        if args.preset is not None or args.t0 is not None:
+            raise UsageError("--preset and --t0 cannot be combined with --config; "
+                             "set 'preset' and 'suspension.t0_c' in the file")
         return config.load_run_config(args.config)
-    return config.preset(args.preset, t0=getattr(args, "t0", 30.0))
+    return config.preset(args.preset or "bench-prototype",
+                         t0=30.0 if args.t0 is None else args.t0)
 
 
 def _add_config_flags(p):
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--preset", default="bench-prototype",
-                   choices=config.PRESET_NAMES, help="named base configuration")
-    p.add_argument("--t0", type=float, default=30.0,
-                   help="oil/gas operating temperature, degC")
+    p.add_argument("--preset", choices=config.PRESET_NAMES,
+                   help="named base configuration (default: bench-prototype)")
+    p.add_argument("--t0", type=float,
+                   help="oil/gas operating temperature, degC (default: 30)")
 
 
 def _positive_float(text: str) -> float:
@@ -102,14 +107,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if args.mode == "lookup" and not args.table:
+        raise UsageError("lookup mode requires --table")
+    if args.mode == "iterative" and (args.table or args.omega):
+        raise UsageError("--table and --omega apply to --mode lookup only")
     cfg = _load_config(args)
-    trace, truth = io.read_trace_csv(args.trace, t0_temperature=args.t0)
+    trace, truth = io.read_trace_csv(args.trace,
+                                     t0_temperature=cfg.suspension.charge.t0)
     truth = truth.get("f_out_truth_n")  # the one column compared below
     if args.mode == "lookup":
-        if not args.table:
-            raise UsageError("lookup mode requires --table")
         table = lookup.load_table(args.table, cfg.suspension)
-        est = lookup.estimate_series(trace, table, omega=args.omega)
+        est = lookup.estimate_series(trace, table, omega=args.omega or "auto")
         f_out = est.f_out
         io.write_lookup_csv(args.out, trace, est)
     else:
@@ -142,7 +150,8 @@ def cmd_build_table(args) -> int:
 
 def cmd_wheel_load(args) -> int:
     cfg = _load_config(args)
-    trace, truth = io.read_trace_csv(args.trace, t0_temperature=args.t0)
+    trace, truth = io.read_trace_csv(args.trace,
+                                     t0_temperature=cfg.suspension.charge.t0)
     truth = truth.get("f_tire_truth_n")  # the one column compared below
     table = lookup.load_table(args.table, cfg.suspension)
     with warnings.catch_warnings(record=True) as caught:
@@ -211,8 +220,9 @@ def build_parser() -> _Parser:
     p.add_argument("--trace", required=True)
     p.add_argument("--mode", default="iterative", choices=("iterative", "lookup"))
     p.add_argument("--table", help="table file (lookup mode)")
-    p.add_argument("--omega", default="auto", type=_omega_arg,
-                   help="blend frequency in rad/s, or 'auto'")
+    p.add_argument("--omega", type=_omega_arg,
+                   help="blend frequency in rad/s, or 'auto' (lookup mode; "
+                        "default: auto)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_estimate)
 

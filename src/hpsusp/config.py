@@ -64,9 +64,6 @@ class SuspensionConfig:
     charge: GasChargeState
     friction: FrictionParams
     use_alg1_friction: bool = False   # squared-exponent friction variant
-    # Zero-phase input low-pass cutoff of the iterative path (estimator.run)
-    # only; lookup-table cells do not depend on it, nor does the digest.
-    lowpass_hz: float | None = None
     # Max |piston displacement| from the charge point, m. It gates the
     # oracle and the table build but shapes no cell, so the digest omits it.
     stroke_limit: float = 0.05
@@ -267,7 +264,6 @@ _KEY_MAP = {
     "suspension.beta_fric_spm": ("friction", "beta_fric"),
     "suspension.k_v_nspm": ("friction", "k_v"),
     "suspension.use_alg1_friction": ("suspension", "use_alg1_friction"),
-    "suspension.lowpass_hz": ("suspension", "lowpass_hz"),
     "suspension.stroke_limit_m": ("suspension", "stroke_limit"),
     "linkage.l_lower_m": ("linkage", "l_lower"),
     "linkage.l_upper_m": ("linkage", "l_upper"),
@@ -342,7 +338,6 @@ def load_run_config(path) -> RunConfig:
         "charge": dict(_fields_of(cfg.suspension.charge)),
         "friction": dict(_fields_of(cfg.suspension.friction)),
         "suspension": {"use_alg1_friction": cfg.suspension.use_alg1_friction,
-                       "lowpass_hz": cfg.suspension.lowpass_hz,
                        "stroke_limit": cfg.suspension.stroke_limit},
         "linkage": dict(_fields_of(cfg.linkage)),
         "quarter_car": {"m_s": cfg.quarter_car.m_s, "k_t": cfg.quarter_car.k_t,

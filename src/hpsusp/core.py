@@ -265,18 +265,20 @@ def force_chain(p1, v, dq_dt, cfg) -> tuple:
     return p2, dp_total, f_gas, f_damp, f_fric
 
 
-def differentiate(series, dt: float, sign: float = 1.0) -> np.ndarray:
-    """Backward difference sign*(x[i]-x[i-1])/dt, same length as the input.
+def differentiate(series, dt: float, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Backward difference (x[i] - x[i-1])/dt for rows lo..hi-1 of a series.
 
-    Element 0 is set equal to element 1 (startup convention). Applied once
-    for velocity and twice for acceleration.
+    Reads only those rows and the one before; row 0 equals row 1 (startup
+    convention), so any row range matches the whole-series result bit for
+    bit. Applied once for velocity and twice for acceleration.
     """
     x = np.asarray(series, dtype=float)
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if x.size < 2:
         raise ValueError("need at least two samples to differentiate")
-    out = np.empty_like(x)
-    out[1:] = sign * np.diff(x) / dt
-    out[0] = out[1]
-    return out
+    hi = x.size if hi is None else min(hi, x.size)
+    if lo > 0:
+        return np.diff(x[lo - 1:hi]) / dt
+    d = np.diff(x[:max(hi, 2)]) / dt
+    return np.concatenate((d[:1], d))[:hi]

@@ -119,14 +119,6 @@ def estimate_peak_frequency(trace: PressureTrace) -> float:
     return float(freqs[0])
 
 
-def lowpass(samples: np.ndarray, dt: float, cutoff_hz: float) -> np.ndarray:
-    """Zero-phase 2nd-order Butterworth low-pass, mirroring the bench filter."""
-    from scipy import signal as sp_signal
-
-    b, a = sp_signal.butter(2, cutoff_hz, fs=1.0 / dt)
-    return sp_signal.filtfilt(b, a, samples)
-
-
 def run(trace: PressureTrace, cfg: SuspensionConfig,
         freq_override: float | None = None,
         flow_inertia: bool = True) -> ForceBreakdown:
@@ -143,9 +135,6 @@ def run(trace: PressureTrace, cfg: SuspensionConfig,
     import dataclasses
 
     p1 = trace.samples
-    if cfg.lowpass_hz is not None:
-        p1 = lowpass(p1, trace.dt, cfg.lowpass_hz)
-
     f_peak = float(freq_override) if freq_override is not None \
         else estimate_peak_frequency(trace)
     omega = 2.0 * np.pi * f_peak
@@ -157,7 +146,7 @@ def run(trace: PressureTrace, cfg: SuspensionConfig,
     h_gas = core.gas_displacement(v_gas, geom)
 
     # Compression-positive velocity; h_gas already grows in compression.
-    v = core.differentiate(h_gas, trace.dt, sign=+1.0)
+    v = core.differentiate(h_gas, trace.dt)
     if flow_inertia:
         dq_dt = core.differentiate(geom.a3 * v, trace.dt)
         dq_dt[0] = 0.0  # no flow history at the first sample

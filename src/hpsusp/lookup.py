@@ -177,7 +177,7 @@ def _outer_sweep(cfg: SuspensionConfig, freq_hz: float,
                             offset=offset)
     p1 = oracle.simulate_suspension(exc, cfg, settings.dt, freq_for_n_eff=freq_hz).p1
     skip = int(round(1.0 / (freq_hz * settings.dt)))
-    return p1[skip:], np.diff(p1)[max(skip - 1, 0):], offset, amp, n_eff
+    return p1[skip:], core.differentiate(p1, 1.0)[skip:], offset, amp, n_eff
 
 
 def _grid(cfg: SuspensionConfig, freq_hz: float, dt: float, axes: tuple,
@@ -220,8 +220,8 @@ def build_table(cfg: SuspensionConfig,
 
     The grids share (P, dP) axes that span every tone's outer sweep loop
     with 5 % padding, dp symmetric about 0. The cells depend on the
-    config digest's settings, dt and the sweep schedule only: not on
-    lowpass_hz, while stroke_limit only gates the build.
+    config digest's settings, dt and the sweep schedule only;
+    stroke_limit only gates the build.
     """
     settings = settings or TableBuildSettings()
     freqs = sorted(float(f) for f in settings.frequencies_hz)
@@ -375,11 +375,8 @@ def estimate_series(trace: estimator.PressureTrace, table: LookupTable,
         omega_run = float(omega_series[start])
         for a in range(start, end, _BLOCK_ROWS):
             b = min(a + _BLOCK_ROWS, end)
-            p = p1[a:b]
-            dp = p - (p1[a - 1:b - 1] if a else np.r_[p1[0], p1[:b - 1]])
-            if a == 0:
-                dp[0] = p1[1] - p1[0]         # dp[0] = dp[1]
-            out[a:b] = _interpolate(table, omega_run, p, dp, stats)
+            dp = core.differentiate(p1, 1.0, a, b)
+            out[a:b] = _interpolate(table, omega_run, p1[a:b], dp, stats)
 
     return SeriesEstimate(v=out[:, 1], f_out=out[:, 0], h=out[:, 2],
                           omega=omega_series, stats=stats)

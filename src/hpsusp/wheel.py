@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import lookup
+from . import core, lookup
 from .config import WheelLinkage
 from .estimator import PressureTrace
 
@@ -171,11 +171,7 @@ class WheelLoadSeries:
         """
         hi = self.n if hi is None else min(hi, self.n)
         est, link = self.est, self.link
-        if lo > 0:
-            a_sus = np.diff(est.v[lo - 1:hi]) / self.dt
-        else:
-            d = np.diff(est.v[:max(hi, 2)]) / self.dt
-            a_sus = np.concatenate((d[:1], d))[:hi]
+        a_sus = core.differentiate(est.v, self.dt, lo, hi)
         h_sus = est.h[lo:hi] - self.h_ref
         v, f_out = est.v[lo:hi], est.f_out[lo:hi]
         theta, beta = lower_arm_angle(h_sus, link)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
 import os
@@ -12,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+import hpsusp
 from hpsusp import cli, config, lookup
 
 
@@ -200,6 +202,24 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_package_imports_no_scipy():
+    src = os.path.dirname(hpsusp.__file__)
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "scipy" for m in modules), \
+                (name, node.lineno)
+
+
 def test_module_entry_point_warns_nothing():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-W", "default", "-m", "hpsusp.cli",
@@ -289,3 +309,76 @@ def test_build_table_raises_no_warning(capsys, tmp_path, preset):
                                 "--out", str(out))
     assert code == 0 and "4 grids" in text
     assert lookup.load_table(out, config.preset(preset).suspension).grids
+
+
+class TestConfigFlag:
+    @pytest.fixture()
+    def cfg_50(self, tmp_path):
+        path = tmp_path / "run50.cfg"
+        config.save_run_config(config.bench_run_config(50.0), path)
+        return str(path)
+
+    def test_trace_temperature_comes_from_the_file(self, capsys, cfg_50,
+                                                   trace_file, tmp_path):
+        by_file, by_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+        code, _, _ = run_cli(capsys, "estimate", "--config", cfg_50,
+                             "--trace", trace_file, "--out", str(by_file))
+        assert code == 0
+        code, _, _ = run_cli(capsys, "estimate", "--t0", "50",
+                             "--trace", trace_file, "--out", str(by_flag))
+        assert code == 0
+        assert by_file.read_bytes() == by_flag.read_bytes()
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "build-table",
+                                         "wheel-load", "bench"])
+    @pytest.mark.parametrize("flags", [("--preset", "mining-truck"),
+                                       ("--t0", "10"),
+                                       ("--preset", "mining-truck", "--t0", "10")])
+    def test_preset_or_t0_with_config_is_usage_error(self, capsys, cfg_50,
+                                                     tmp_path, command, flags):
+        rest = {"simulate": ("--freq", "5", "--amp", "0.005"),
+                "estimate": ("--trace", "x.csv"),
+                "build-table": (),
+                "wheel-load": ("--trace", "x.csv", "--table", "t.hplt"),
+                "bench": ("--table", "t.hplt")}[command]
+        out = tmp_path / "o.out"
+        argv = (command, "--config", cfg_50, *flags, *rest)
+        if command != "bench":
+            argv += ("--out", str(out))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "cannot be combined with --config" in err
+        assert not out.exists()
+
+    def test_removed_lowpass_key_is_config_error(self, capsys, trace_file,
+                                                 tmp_path):
+        path = tmp_path / "lowpass.cfg"
+        path.write_text("preset = bench-prototype\nsuspension.lowpass_hz = 20\n")
+        out = tmp_path / "o.csv"
+        code, _, err = run_cli(capsys, "estimate", "--config", str(path),
+                               "--trace", trace_file, "--out", str(out))
+        assert code == 2
+        assert "config error" in err and "'suspension.lowpass_hz'" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [("--omega", "31"),
+                                   ("--table", "/nonexistent.hplt"),
+                                   ("--omega", "auto", "--table", "t.hplt")])
+def test_lookup_flags_in_iterative_mode_are_usage_errors(capsys, trace_file,
+                                                         tmp_path, flags):
+    out = tmp_path / "o.csv"
+    code, _, err = run_cli(capsys, "estimate", "--mode", "iterative",
+                           "--trace", trace_file, *flags, "--out", str(out))
+    assert code == 2 and "apply to --mode lookup only" in err
+    assert not out.exists()
+
+
+def test_lookup_mode_omega_defaults_to_auto(capsys, trace_file, table_file,
+                                            tmp_path):
+    default, auto = tmp_path / "default.csv", tmp_path / "auto.csv"
+    for out, omega in ((default, ()), (auto, ("--omega", "auto"))):
+        code, _, _ = run_cli(capsys, "estimate", "--mode", "lookup", "--table",
+                             table_file, "--trace", trace_file, *omega,
+                             "--out", str(out))
+        assert code == 0
+    assert default.read_bytes() == auto.read_bytes()

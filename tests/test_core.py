@@ -187,10 +187,15 @@ class TestDifferentiate:
         assert np.allclose(out[1:], 2.5, rtol=1e-12)
         assert out[0] == out[1]
 
-    def test_sign_flag(self):
-        x = np.array([0.0, 1.0, 3.0])
-        down = core.differentiate(x, 1.0, sign=-1.0)
-        assert np.allclose(down, [-1.0, -1.0, -2.0])
+    @pytest.mark.parametrize("n", [2, 3, 17])
+    def test_row_range_equals_whole_series(self, n):
+        x = np.random.default_rng(n).normal(size=n)
+        dt = 1.0 / 360.0
+        whole = core.differentiate(x, dt)
+        for lo in sorted({0, 1, 2, n - 1}):
+            for hi in (lo + 1, lo + 2, n, n + 1):
+                part = core.differentiate(x, dt, lo, hi)
+                assert part.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
 
     def test_sinusoid_truncation_bound(self):
         dt = 1.0 / 360.0

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -106,24 +105,6 @@ class TestRun:
         assert np.array_equal(with_i.v, without.v)
         assert np.array_equal(with_i.f_fric, without.f_fric)
         assert not np.array_equal(with_i.f_damp, without.f_damp)
-
-    def test_lowpass_filters_input(self, bench_cfg):
-        exc = oracle.Excitation(kind="sinusoid", amplitudes=(7.5e-3,),
-                                frequencies=(5.0,), duration=4.0)
-        trace = oracle.simulate_suspension(exc, bench_cfg, DT).to_pressure_trace()
-        noisy = estimator.PressureTrace(
-            dt=DT, samples=trace.samples * (1.0 + 1e-3 * np.sin(
-                2 * np.pi * 90.0 * trace.t)), t0_temperature=30.0)
-        clean = estimator.run(trace, bench_cfg, freq_override=5.0)
-        raw = estimator.run(noisy, bench_cfg, freq_override=5.0)
-        filtered = estimator.run(
-            noisy, dataclasses.replace(bench_cfg, lowpass_hz=20.0),
-            freq_override=5.0)
-        assert np.all(np.isfinite(filtered.f_out))
-        assert not np.array_equal(filtered.f_out, raw.f_out)
-        # the 90 Hz ripple is removed, so the filtered run is nearer the clean one
-        assert (metrics.rel_rmse(filtered.f_out, clean.f_out)
-                < metrics.rel_rmse(raw.f_out, clean.f_out))
 
 
 class TestPressureTrace:

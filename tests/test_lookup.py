@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import struct
 import subprocess
@@ -513,16 +512,6 @@ class TestClosedFormTable:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
-
-    def test_lowpass_does_not_shape_cells(self, bench_cfg):
-        settings = config.TableBuildSettings(frequencies_hz=(3.0, 8.0))
-        plain = lookup.build_table(bench_cfg, settings)
-        filtered = lookup.build_table(
-            dataclasses.replace(bench_cfg, lowpass_hz=20.0), settings)
-        assert filtered.config_digest == plain.config_digest
-        for a, b in zip(plain.grids, filtered.grids):
-            assert np.array_equal(a.cells, b.cells)
-            assert np.array_equal(a.filled, b.filled)
 
     def test_stroke_limit_gates_the_build(self, bench_cfg):
         with pytest.raises(oracle.StrokeError):
