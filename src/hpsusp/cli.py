@@ -48,7 +48,7 @@ def _add_config_flags(p):
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--preset", choices=config.PRESET_NAMES,
                    help="named base configuration (default: bench-prototype)")
-    p.add_argument("--t0", type=float,
+    p.add_argument("--t0", type=_temperature_arg,
                    help="oil/gas operating temperature, degC (default: 30)")
 
 
@@ -56,6 +56,18 @@ def _positive_float(text: str) -> float:
     value = float(text)
     if not 0.0 < value < math.inf:
         raise ValueError(text)
+    return value
+
+
+def _temperature_arg(text: str) -> float:
+    """--t0: a finite temperature above absolute zero, degC."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not -273.15 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite temperature above -273.15 degC, got {text!r}")
     return value
 
 
@@ -94,9 +106,12 @@ def cmd_simulate(args) -> int:
         raise UsageError("--freq-end applies only to --kind linear-sweep")
     freqs = (args.freq,) if args.freq_end is None else (args.freq, args.freq_end)
     duration = args.duration if args.duration is not None else 20.0 / min(freqs)
-    exc = oracle.Excitation(kind=args.kind, amplitudes=(args.amp,),
-                            frequencies=freqs, duration=duration,
-                            offset=args.offset)
+    try:
+        exc = oracle.Excitation(kind=args.kind, amplitudes=(args.amp,),
+                                frequencies=freqs, duration=duration,
+                                offset=args.offset)
+    except ValueError as err:  # the flags describe no valid excitation
+        raise UsageError(str(err)) from None
     if args.quarter_car:
         trace = oracle.simulate_quarter_car(exc, cfg.quarter_car, args.dt)
     else:
@@ -168,6 +183,10 @@ def cmd_wheel_load(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.samples < 10000:
+        raise UsageError("benchmark needs at least 10000 samples")
+    if args.repeats < 10:
+        raise UsageError("benchmark needs at least 10 repetitions")
     cfg = _load_config(args)
     table = lookup.load_table(args.table, cfg.suspension)
     rep = lookup.benchmark(table, cfg.suspension,

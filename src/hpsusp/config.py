@@ -15,7 +15,6 @@ rejected.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -70,6 +69,10 @@ class SuspensionConfig:
 
     def digest(self) -> int:
         """Stable 64-bit digest of all physical parameters."""
+        # Imported here, not at module level: hashlib maps OpenSSL's libcrypto
+        # (~3.5 MB RSS), which only the table-handling commands need.
+        import hashlib
+
         parts = []
         for obj in (self.fluid, self.geom, self.charge, self.friction):
             for f in dataclasses.fields(obj):
@@ -134,6 +137,12 @@ class TableBuildSettings:
     dt: float = 1.0 / 360.0
     amplitude_scale: float = 1.0      # scales the bench amplitude schedule
     static_force_n: float | None = None  # static axial preload centering the sweep
+
+    def __post_init__(self):
+        if not all(0.0 < f < math.inf for f in self.frequencies_hz):
+            raise ValueError("table frequencies must be positive and finite")
+        if not (0.0 < self.dt < math.inf and 0.0 < self.amplitude_scale < math.inf):
+            raise ValueError("table dt and amplitude scale must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -287,22 +296,24 @@ _KEY_MAP = {
 
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
-    if key == "table.frequencies_hz":
-        return tuple(float(x) for x in raw.split(","))
-    if key in ("suspension.use_alg1_friction",):
+    if key == "suspension.use_alg1_friction":
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if raw.lower() == "none":
+    if key == "table.static_force_n" and raw.lower() == "none":
         return None
-    if key == "suspension.n_valve":
-        return int(raw)
+    is_list = key == "table.frequencies_hz"
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: bad numeric value {raw!r}") from exc
+        if key == "suspension.n_valve":
+            return int(raw)
+        numbers = tuple(float(x) for x in (raw.split(",") if is_list else [raw]))
+    except ValueError:
+        raise ConfigError(f"{key}: bad numeric value {raw!r}") from None
+    if not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"{key}: value must be finite, got {raw!r}")
+    return numbers if is_list else numbers[0]
 
 
 def load_run_config(path) -> RunConfig:
@@ -326,8 +337,17 @@ def load_run_config(path) -> RunConfig:
                 continue
             if key not in _KEY_MAP:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            overrides[key] = _parse_value(key, raw)
+            try:
+                overrides[key] = _parse_value(key, raw)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    try:
+        return _build_run_config(base_name, overrides)
+    except ValueError as exc:  # a field's range check, or an unknown preset
+        raise ConfigError(f"{path}: {exc}") from exc
 
+
+def _build_run_config(base_name: str, overrides: dict) -> RunConfig:
     cfg = preset(base_name)
     if not overrides:
         return cfg

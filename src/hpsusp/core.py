@@ -82,6 +82,8 @@ class SuspensionGeometry:
                     self.k_orif, self.v0_gas, self.v0_oil)
         if any(x <= 0.0 for x in positive):
             raise ValueError("all areas, lengths, volumes and coefficients must be positive")
+        if self.n_valve < 1:
+            raise ValueError("need at least one valve set (n_valve >= 1)")
         if abs(self.a3 - (self.a1 - self.a2)) > 1e-9:
             raise ValueError("annular area a3 must equal a1 - a2 (within 1e-9 m^2)")
         if self.h_gap >= self.d_piston:
@@ -106,6 +108,8 @@ class GasChargeState:
     def __post_init__(self):
         if self.p0 <= 0.0:
             raise ValueError("charge pressure must be positive")
+        if not -273.15 < self.t0 < math.inf:
+            raise ValueError("operating temperature must be finite and above -273.15 degC")
         if self.omega_c <= 0.0:
             raise ValueError("corner frequency must be positive")
 

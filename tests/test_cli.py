@@ -202,6 +202,34 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+_OPENSSL_PROBE = """
+import sys
+from hpsusp import cli, config
+out = sys.argv[1]
+seen = ["_hashlib" in sys.modules]
+for argv in (["simulate", "--quarter-car", "--preset", "mining-truck",
+              "--freq", "8", "--amp", "0.002", "--out", out + "/road.csv"],
+             ["simulate", "--freq", "5", "--amp", "0.005",
+              "--out", out + "/trace.csv"],
+             ["estimate", "--mode", "iterative", "--trace", out + "/trace.csv",
+              "--out", out + "/breakdown.csv"]):
+    assert cli.main(argv) == 0, argv
+    seen.append("_hashlib" in sys.modules)
+config.preset("bench-prototype").suspension.digest()
+seen.append("_hashlib" in sys.modules)
+print(seen)
+"""
+
+
+def test_commands_without_a_digest_load_no_openssl(tmp_path):
+    # hashlib maps OpenSSL's libcrypto (~3.5 MB RSS); only the digest needs it.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", _OPENSSL_PROBE, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    # import, quarter-car simulate, simulate, iterative estimate; then digest
+    assert out.stdout.splitlines()[-1] == str([False] * 4 + [True])
+
+
 def test_package_imports_no_scipy():
     src = os.path.dirname(hpsusp.__file__)
     for name in sorted(os.listdir(src)):
@@ -382,3 +410,54 @@ def test_lookup_mode_omega_defaults_to_auto(capsys, trace_file, table_file,
                              "--out", str(out))
         assert code == 0
     assert default.read_bytes() == auto.read_bytes()
+
+
+@pytest.mark.parametrize("argv, cfg_line, message", [
+    (("estimate", "--t0", "nan"), None, "argument --t0: must be a finite"),
+    (("estimate", "--t0", "inf"), None, "argument --t0: must be a finite"),
+    (("estimate", "--t0", "-300"), None, "above -273.15 degC"),
+    (("estimate", "--t0", "-273.15"), None, "above -273.15 degC"),
+    (("simulate", "--t0", "nan"), None, "argument --t0: must be a finite"),
+    (("estimate",), "suspension.t0_c = nan", "suspension.t0_c: value must be finite"),
+    (("simulate",), "suspension.t0_c = nan", "suspension.t0_c: value must be finite"),
+    (("estimate",), "suspension.rho_kgpm3 = inf",
+     "suspension.rho_kgpm3: value must be finite"),
+    (("estimate",), "suspension.rho_kgpm3 = -1", "density"),
+    (("estimate",), "suspension.t0_c = -300", "above -273.15 degC"),
+])
+def test_non_finite_or_unphysical_number_is_usage_error(capsys, trace_file,
+                                                         tmp_path, argv,
+                                                         cfg_line, message):
+    rest = {"estimate": ("--trace", trace_file),
+            "simulate": ("--freq", "5", "--amp", "0.005")}[argv[0]]
+    if cfg_line is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(cfg_line + "\n")
+        rest += ("--config", str(cfg))
+    out = tmp_path / "o.csv"
+    code, _, err = run_cli(capsys, *argv, *rest, "--out", str(out))
+    assert code == 2 and message in err
+    if cfg_line is not None:
+        assert f"config error: {cfg}" in err
+    assert not out.exists()
+
+
+# A missing table would exit 3: exit 2 shows the check runs before any work.
+@pytest.mark.parametrize("flags, message", [
+    (("--samples", "100"), "benchmark needs at least 10000 samples"),
+    (("--repeats", "5"), "benchmark needs at least 10 repetitions"),
+])
+def test_bench_size_below_minimum_is_usage_error(capsys, tmp_path, flags,
+                                                 message):
+    code, _, err = run_cli(capsys, "bench", "--table",
+                           str(tmp_path / "missing.hplt"), *flags)
+    assert code == 2 and f"usage error: {message}" in err
+
+
+def test_simulate_duration_below_20_cycles_is_usage_error(capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(capsys, "simulate", "--freq", "5", "--amp", "0.005",
+                           "--duration", "0.001", "--out", str(out))
+    assert code == 2
+    assert "usage error: duration must cover at least 20 cycles" in err
+    assert not out.exists()

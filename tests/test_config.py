@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
@@ -67,6 +68,15 @@ class TestDigest:
         d = config.bench_prototype().digest()
         assert 0 <= d < 2 ** 64
 
+    # Every .hplt file stores this digest: a changed value would make every
+    # existing table fail to load.
+    @pytest.mark.parametrize("name, expected", [
+        ("bench-prototype", 0x1876fd7e02486d53),
+        ("mining-truck", 0x769be9d004a825c5),
+    ])
+    def test_known_answer(self, name, expected):
+        assert config.preset(name).suspension.digest() == expected
+
 
 class TestConfigFile:
     def test_save_load_round_trip(self, tmp_path):
@@ -94,6 +104,41 @@ class TestConfigFile:
             "suspension.gamma = 1.4", "suspension.gamma = 0.9")
         path.write_text(text)
         with pytest.raises((config.ConfigError, ValueError)):
+            config.load_run_config(path)
+
+    @pytest.mark.parametrize("line", [
+        "suspension.t0_c = nan", "suspension.rho_kgpm3 = inf",
+        "suspension.p0_pa = -inf", "table.frequencies_hz = 3,nan,8",
+        "suspension.n_valve = nan",
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, line):
+        path = tmp_path / "cfg.cfg"
+        path.write_text("preset = mining-truck\n" + line + "\n")
+        with pytest.raises(config.ConfigError, match=f"^{re.escape(str(path))}:2: "):
+            config.load_run_config(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("suspension.rho_kgpm3 = -1", "density"),
+        ("suspension.t0_c = -300", "above -273.15 degC"),
+        ("linkage.m_t_kg = 900", "tire mass"),
+        ("preset = hovercraft", "unknown preset"),
+        ("suspension.n_valve = 0", "valve set"),
+        ("table.frequencies_hz = -3,5", "table frequencies"),
+        ("table.dt_s = 0", "table dt"),
+    ])
+    def test_range_check_is_config_error_naming_the_file(self, tmp_path, line,
+                                                          message):
+        path = tmp_path / "cfg.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(config.ConfigError, match=f"^{re.escape(str(path))}: .*{message}"):
+            config.load_run_config(path)
+
+    def test_none_only_for_the_optional_preload(self, tmp_path):
+        path = tmp_path / "cfg.cfg"
+        path.write_text("table.static_force_n = none\n")
+        assert config.load_run_config(path).table.static_force_n is None
+        path.write_text("suspension.rho_kgpm3 = none\n")
+        with pytest.raises(config.ConfigError, match="bad numeric value"):
             config.load_run_config(path)
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
