@@ -11,8 +11,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
-
 
 from . import config, estimator, io, lookup, metrics, oracle, validate, wheel
 
@@ -133,14 +131,13 @@ def cmd_estimate(args) -> int:
     if args.mode == "lookup":
         table = lookup.load_table(args.table, cfg.suspension)
         est = lookup.estimate_series(trace, table, omega=args.omega or "auto")
-        f_out = est.f_out
         io.write_lookup_csv(args.out, trace, est)
     else:
-        bd = estimator.run(trace, cfg.suspension)
-        f_out = bd.f_out
-        io.write_breakdown_csv(args.out, trace, bd)
+        est = estimator.run(trace, cfg.suspension)
+        io.write_breakdown_csv(args.out, trace, est)
     print(f"wrote {args.out}")
     if truth is not None:
+        f_out = est.f_out
         rel = metrics.rel_rmse(f_out, truth)
         r2 = metrics.r_squared(f_out, truth)
         print(f"vs embedded truth: rel RMSE {rel:.3%}, R2 {r2:.4f}")
@@ -169,10 +166,8 @@ def cmd_wheel_load(args) -> int:
                                      t0_temperature=cfg.suspension.charge.t0)
     truth = truth.get("f_tire_truth_n")  # the one column compared below
     table = lookup.load_table(args.table, cfg.suspension)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", wheel.WheelLiftoffWarning)
-        series = wheel.estimate_wheel_load_series(trace, table, cfg.linkage,
-                                                  omega=args.omega)
+    series = wheel.estimate_wheel_load_series(trace, table, cfg.linkage,
+                                              omega=args.omega)
     io.write_wheel_load_csv(args.out, trace.dt, series)
     print(f"wrote {args.out}: {series.n} samples, "
           f"{series.liftoff_count} liftoff sample(s)")

@@ -30,7 +30,6 @@ __all__ = [
     "oil_viscosity",
     "bench_prototype",
     "mining_truck",
-    "algorithm_reference_linkage",
     "preset",
     "PRESET_NAMES",
     "load_run_config",
@@ -196,13 +195,6 @@ def _truck_linkage() -> WheelLinkage:
     return WheelLinkage(l_lower=0.65, l_upper=0.58, l_eff=0.48,
                         alpha0=math.radians(8.0), beta0=math.radians(20.0),
                         k_beta=0.12, m_u=800.0, m_t=500.0)
-
-
-def algorithm_reference_linkage() -> WheelLinkage:
-    """Alternate small-geometry linkage constants, kept for reproduction runs."""
-    return WheelLinkage(l_lower=0.65, l_upper=0.58, l_eff=0.15,
-                        alpha0=math.radians(5.0), beta0=math.radians(8.5),
-                        k_beta=0.12, m_u=800.0, m_t=80.0)
 
 
 def mining_truck(t0: float = 30.0) -> RunConfig:

@@ -284,12 +284,15 @@ def _times(dt: float, lo: int, hi: int) -> np.ndarray:
 
 
 def write_breakdown_csv(path, trace: PressureTrace, bd: ForceBreakdown) -> None:
+    """Iterative-path output; each writer computes the force chain of its rows."""
     header = ["t_s", "p1_pa", "p2_pa", "f_gas_n", "f_damp_n", "f_fric_n",
               "f_out_n", "v_mps", "h_m", "a_mps2"]
-    cols = [trace.samples, bd.p2, bd.f_gas, bd.f_damp, bd.f_fric,
-            bd.f_out, bd.v, bd.h_total, bd.a]
-    _write_row_blocks(path, header, trace.n, lambda lo, hi: [
-        _times(trace.dt, lo, hi)] + [c[lo:hi] for c in cols])
+
+    def rows(lo, hi):
+        r = bd.rows(lo, hi)
+        return [_times(trace.dt, lo, hi), trace.samples[lo:hi], r.p2, r.f_gas,
+                r.f_damp, r.f_fric, r.f_out, r.v, r.h_total, r.a]
+    _write_row_blocks(path, header, trace.n, rows)
 
 
 def write_wheel_load_csv(path, dt: float, series: WheelLoadSeries) -> None:

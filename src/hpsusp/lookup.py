@@ -582,7 +582,7 @@ def benchmark(table: LookupTable, cfg: SuspensionConfig,
         _stream_lookup(trace, cells_f, grid0)
         t_look.append(time.perf_counter() - start)
         start = time.perf_counter()
-        estimator.run(trace, cfg, freq_override=freq_hz)
+        estimator.run(trace, cfg, freq_override=freq_hz).rows()
         t_iter_batch.append(time.perf_counter() - start)
         start = time.perf_counter()
         estimate_series(trace, table, omega=omega)

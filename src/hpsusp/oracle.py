@@ -28,7 +28,6 @@ __all__ = [
     "simulate_suspension",
     "simulate_quarter_car",
     "static_gas_offset",
-    "frequency_separation_report",
 ]
 
 
@@ -199,29 +198,6 @@ def static_gas_offset(cfg: SuspensionConfig, static_force: float, n_eff: float) 
         raise ValueError("static load must raise the pressure above the charge value")
     v_static = core.gas_volume(p_static, charge, geom, n_eff)
     return core.gas_displacement(v_static, geom)
-
-
-def frequency_separation_report(params: QuarterCarParams, n_eff: float) -> dict:
-    """Stiffness-ratio and frequency-separation conditions for rigid-tire use.
-
-    Returns the computed numbers; callers decide how to log or assert.
-    """
-    link, cfg = params.link, params.cfg
-    geom, charge, fluid = cfg.geom, cfg.charge, cfg.fluid
-    i0 = link.static_ratio()
-    f_static = params.m_s * link.g / i0
-    p_static = fluid.p_atm + f_static / (geom.a1 - geom.a2)
-    v_static = core.gas_volume(p_static, charge, geom, n_eff)
-    # axial gas stiffness dF/dh at the operating point, projected vertical
-    k_axial = geom.a1 ** 2 * n_eff * p_static / v_static
-    k_vert = i0 ** 2 / math.cos(link.beta0) ** 2 * k_axial
-    f_tire_nat = math.sqrt(params.k_t / params.m_u) / (2.0 * math.pi)
-    return {
-        "k_sus_vertical_npm": k_vert,
-        "stiffness_ratio": params.k_t / k_vert,
-        "stiffness_ratio_ok": params.k_t / k_vert > 5.0,
-        "tire_natural_frequency_hz": f_tire_nat,
-    }
 
 
 def simulate_quarter_car(road: Excitation, params: QuarterCarParams,

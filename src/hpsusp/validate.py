@@ -112,7 +112,7 @@ def criterion_1(ctx: ValidationContext) -> CriterionResult:
     trace = oracle.simulate_suspension(exc, ctx.bench30, ctx.dt)
     ptrace = trace.to_pressure_trace()
     start = time.perf_counter()
-    est = estimator.run(ptrace, ctx.bench30)
+    est = estimator.run(ptrace, ctx.bench30).rows()  # every channel, as one block
     elapsed = time.perf_counter() - start
     rel = metrics.rel_rmse(est.f_out, trace.f_out)
     r2 = metrics.r_squared(est.f_out, trace.f_out)

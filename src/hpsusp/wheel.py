@@ -26,7 +26,6 @@ __all__ = [
     "inclination",
     "lower_arm_angle",
     "suspension_ratio",
-    "tire_vertical_displacement",
     "tire_acceleration",
     "wheel_load",
     "estimate_wheel_load_series",
@@ -72,12 +71,6 @@ def suspension_ratio(theta, beta, link: WheelLinkage):
             "lower arm near vertical: transmission ratio singular")
     i_sus = link.l_eff * np.cos(np.asarray(beta, dtype=float)) / (link.l_lower * cos_at)
     return float(i_sus) if i_sus.ndim == 0 else i_sus
-
-
-def tire_vertical_displacement(theta, link: WheelLinkage):
-    """Tire center height z_t from the lower-arm angle (datum z_li)."""
-    z = link.z_li + link.l_lower * np.sin(link.alpha0 + np.asarray(theta, dtype=float))
-    return float(z) if z.ndim == 0 else z
 
 
 def tire_acceleration(theta, beta, v, a_sus, link: WheelLinkage,
@@ -145,7 +138,6 @@ class WheelLoadSeries:
     link: WheelLinkage
     include_beta_rate: bool = False
     liftoff_count: int = 0
-    first_valid: int = 2     # earlier samples carry difference start-up values
 
     @property
     def n(self) -> int:

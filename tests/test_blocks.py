@@ -2,23 +2,25 @@
 
 The wheel-load path reads its trace in chunks, queries the table in row
 blocks, batches its window FFTs and computes the kinematic chain per row
-block inside the CSV writers. Each size is patched, all at once, to sizes
-around the trace length and the blend groups, and every output is compared
-with the unpatched run, where the trace is one block.
+block inside the CSV writers; the iterative path computes its force chain
+per row block, inside the CSV writers too. Each size is patched, all at
+once, to sizes around the trace length and the blend groups, and every
+output is compared with the unpatched run, where the trace is one block.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hpsusp import cli, core, estimator, io, lookup, oracle, wheel
+from hpsusp import cli, config, core, estimator, io, lookup, oracle, wheel
 
 DT = 1.0 / 360.0
-SIZES = ["1", "2", "7", "n-1", "n", "n+1", "split"]
+SIZES = ["1", "2", "3", "7", "n-1", "n", "n+1", "split"]
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +36,11 @@ def case(tmp_path_factory, truck):
     table = lookup.build_table(cfg, truck.table)
     lookup.save_table(table, d / "truck.hplt")
     trace, _ = io.read_trace_csv(d / "trace.csv")
+    # the iterative path's trace: the bench unit cavitates on part of it
+    bench = oracle.Excitation(kind="linear-sweep", amplitudes=(6.0e-3,),
+                              frequencies=(3.0, 8.0), duration=(trace.n - 1) * DT)
+    io.write_trace_csv(d / "bench.csv",
+                       oracle.simulate_suspension(bench, config.bench_prototype(), DT))
     est = lookup.estimate_series(trace, table, omega="auto")
     # a block size that ends a block inside the largest blend group
     _, groups = np.unique(est.omega, return_counts=True)
@@ -56,6 +63,7 @@ def _patch(monkeypatch, rows: int) -> None:
     monkeypatch.setattr(lookup, "_BLOCK_ROWS", rows)
     monkeypatch.setattr(wheel, "_BLOCK_ROWS", rows)
     monkeypatch.setattr(estimator, "_FFT_SAMPLES", rows)
+    monkeypatch.setattr(estimator, "_BLOCK_ROWS", rows)
 
 
 def _cli_outputs(d, tag: str) -> dict:
@@ -72,6 +80,10 @@ def _cli_outputs(d, tag: str) -> dict:
                                 str(d / "trace.csv"), "--table",
                                 str(d / "truck.hplt"), "--out", str(path)])
         out[name] = (code, path.read_bytes())
+    path = d / f"{tag}-iterative.csv"
+    code = cli.main(["estimate", "--mode", "iterative", "--preset", "bench-prototype",
+                     "--trace", str(d / "bench.csv"), "--out", str(path)])
+    out["iterative"] = (code, path.read_bytes())
     return out
 
 
@@ -110,6 +122,46 @@ def test_wheel_load_and_liftoff_count_equal(case, monkeypatch, truck, size):
         series = wheel.estimate_wheel_load_series(*args)
     assert np.array_equal(series.f_tire, ref.f_tire)
     assert series.liftoff_count == np.count_nonzero(ref.f_tire < 0.0) > 0
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("flow_inertia", [True, False])
+def test_iterative_channels_and_cavitation_count_equal(case, monkeypatch, size,
+                                                       flow_inertia):
+    trace, _ = io.read_trace_csv(case["dir"] / "bench.csv")
+    cfg = config.bench_prototype()
+    ref = estimator.run(trace, cfg, flow_inertia=flow_inertia)
+    ref_f_out, ref_count = ref.f_out, ref.cavitation_count
+    assert np.array_equal(ref_f_out, ref.rows().f_out)
+    _patch(monkeypatch, _size(case, size))
+    bd = estimator.run(trace, cfg, flow_inertia=flow_inertia)
+    assert np.array_equal(bd.f_out, ref_f_out)
+    assert bd.cavitation_count == ref_count > 0
+
+
+def test_iterative_memory_per_added_sample(tmp_path):
+    # The chain runs in row blocks, so the peak grows only with the peak
+    # search's working arrays, ~20.5 B per sample: the mean-removed copy
+    # (8), the column transform (8.5 at 108 001 = 17 * 6353) and the
+    # magnitudes (4). Measured 12.7 per sample added between these
+    # lengths (at 36 001 the writer's blocks set the peak); 110 when the
+    # whole-trace channels were held. 24 leaves 15 % over those arrays.
+    cfg = config.bench_prototype()
+    peaks = {}
+    for n in (36001, 108001):
+        exc = oracle.Excitation(kind="linear-sweep", amplitudes=(6.0e-3,),
+                                frequencies=(3.0, 8.0), duration=(n - 1) * DT)
+        trace = oracle.simulate_suspension(exc, cfg, DT).to_pressure_trace()
+        assert trace.n == n
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            bd = estimator.run(trace, cfg)
+            io.write_breakdown_csv(tmp_path / "bd.csv", trace, bd)
+            peaks[n] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert (peaks[108001] - peaks[36001]) / (108001 - 36001) < 24
 
 
 def _read_error(path) -> str:

@@ -256,6 +256,46 @@ def test_module_entry_point_warns_nothing():
     assert "RuntimeWarning" not in proc.stderr
 
 
+_WARNING_PROBE = """
+import sys, warnings
+from hpsusp import cli, wheel
+estimate = wheel.estimate_wheel_load_series
+
+def probe(*args, **kwargs):
+    warnings.warn("probe warning", RuntimeWarning)
+    return estimate(*args, **kwargs)
+
+if sys.argv[1] == "probe":
+    wheel.estimate_wheel_load_series = probe
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_wheel_load_warnings_reach_stderr(capsys, tmp_path):
+    trace, table = tmp_path / "truck.csv", tmp_path / "truck.hplt"
+    assert run_cli(capsys, "simulate", "--preset", "mining-truck", "--quarter-car",
+                   "--freq", "8", "--amp", "0.002", "--duration", "4",
+                   "--out", str(trace))[0] == 0
+    assert run_cli(capsys, "build-table", "--preset", "mining-truck",
+                   "--frequencies", "7,8", "--out", str(table))[0] == 0
+    # a heavy tire without gravity lifts off wherever it accelerates upward
+    cfg = tmp_path / "heavy.cfg"
+    cfg.write_text("preset = mining-truck\nlinkage.m_u_kg = 1e5\n"
+                   "linkage.m_t_kg = 1e5\nlinkage.g_mps2 = 0\n")
+    argv = ["wheel-load", "--config", str(cfg), "--trace", str(trace),
+            "--table", str(table), "--out", str(tmp_path / "wheel.csv")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    plain, probed = (subprocess.run([sys.executable, "-c", _WARNING_PROBE, mode] + argv,
+                                    env=env, capture_output=True, text=True)
+                     for mode in ("plain", "probe"))
+    assert plain.returncode == probed.returncode == 0
+    assert "RuntimeWarning: probe warning" in probed.stderr
+    assert "probe warning" not in plain.stderr
+    assert probed.stdout == plain.stdout
+    liftoff = [line for line in plain.stdout.splitlines() if "liftoff" in line]
+    assert liftoff == ["wrote " + argv[-1] + ": 1441 samples, 577 liftoff sample(s)"]
+
+
 class TestFlagValues:
     @pytest.mark.parametrize("argv", [
         ("estimate", "--omega", "abc"),

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import re
 
 import pytest
@@ -38,12 +37,6 @@ class TestPresets:
     def test_truck_static_ratio(self):
         link = config.mining_truck().linkage
         assert link.static_ratio() == pytest.approx(0.7007464749503204, rel=1e-12)
-
-    def test_algorithm_reference_linkage(self):
-        link = config.algorithm_reference_linkage()
-        assert link.l_eff == pytest.approx(0.15)
-        assert link.alpha0 == pytest.approx(math.radians(5.0))
-        assert link.m_t == 80.0
 
     def test_oil_viscosity_anchors(self):
         assert config.oil_viscosity(30.0) == pytest.approx(0.065, rel=1e-9)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +35,84 @@ class TestPeakFrequency:
                                         t0_temperature=30.0)
         with pytest.raises(estimator.NoDominantFrequencyError):
             estimator.estimate_peak_frequency(trace)
+
+
+def _tone_and_noise(n: int) -> np.ndarray:
+    rng = np.random.default_rng(n)
+    t = np.arange(n)
+    return 1.0e6 + 5e4 * np.sin(2 * np.pi * 0.0123 * t + 0.4) \
+        + 2e4 * rng.standard_normal(n)
+
+
+_FFT_RSS_PROBE = """
+import numpy as np
+from hpsusp import estimator
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+t = np.arange(108001) / 360.0
+trace = estimator.PressureTrace(dt=1 / 360.0, samples=1e6 + 5e4 * np.sin(31.0 * t))
+before = peak_kb()
+estimator.estimate_peak_frequency(trace)
+print(peak_kb() - before)
+"""
+
+
+class TestSpectrumSplit:
+    # (length, largest prime factor): 108 001 = 17 * 6353 (the benchmark
+    # sweep), 2 * 6353, 317 * 331, a prime, 7200 and 2**16 (smooth), and
+    # 46 = 2 * 23, below pocketfft's 50-sample direct cut. The split runs
+    # where p * p > n and p < n.
+    @pytest.mark.parametrize("n, p", [(108001, 6353), (2 * 6353, 6353),
+                                      (317 * 331, 331), (108007, 108007),
+                                      (7200, 5), (65536, 2), (46, 23)])
+    def test_equals_single_rfft(self, n, p):
+        assert estimator._largest_prime_factor(n) == p
+        x = _tone_and_noise(n)
+        segs = (x - x.mean())[None, :]
+        ref = np.abs(np.fft.rfft(segs, axis=1))
+        got = estimator._spectrum(segs.copy())
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * ref.max()
+        ref[:, 0] = got[:, 0] = 0.0
+        threshold = 1e-9 * x.max()
+        assert np.any(got > threshold) and np.any(ref > threshold)
+        k = int(np.argmax(ref))
+        assert int(np.argmax(got)) == k
+        trace = estimator.PressureTrace(dt=DT, samples=x, t0_temperature=30.0)
+        assert estimator.estimate_peak_frequency(trace) == k / (n * DT)
+
+    def test_batched_windows_equal_single_rfft(self):
+        # 362 = 2 * 181: each window of the batch takes the split
+        x = _tone_and_noise(5000)
+        starts, win, freqs = estimator.window_peak_frequencies(x, DT, 362, 181)
+        assert win == 362 and starts.size > 20
+        for start, f in zip(starts, freqs):
+            seg = x[start:start + win] - x[start:start + win].mean()
+            spectrum = np.abs(np.fft.rfft(seg))
+            spectrum[0] = 0.0
+            assert f == np.argmax(spectrum) / (win * DT)
+
+    def test_constant_split_length_raises(self):
+        trace = estimator.PressureTrace(dt=DT, samples=np.full(108001, 1e6),
+                                        t0_temperature=30.0)
+        with pytest.raises(estimator.NoDominantFrequencyError):
+            estimator.estimate_peak_frequency(trace)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="needs Linux's VmHWM")
+    def test_peak_rss_rise_at_benchmark_length(self):
+        # pocketfft's own buffers are invisible to tracemalloc, so the rise
+        # in peak RSS of a fresh process is measured: 16 MB with Bluestein
+        # at 108 001 = 17 * 6353, ~3 MB with the split. VmHWM is the peak
+        # of the process's own address space; ru_maxrss would start from
+        # the spawning process's peak, which exec carries over.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", _FFT_RSS_PROBE], env=env,
+                             capture_output=True, text=True, check=True)
+        assert int(out.stdout) < 8 * 1024
 
 
 class TestRun:

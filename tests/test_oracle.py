@@ -135,12 +135,6 @@ class TestQuarterCar:
         scale = float(np.sqrt(np.mean(fine.f_tire_truth ** 2)))
         assert rms < 1e-3 * scale
 
-    def test_frequency_separation_report(self, truck):
-        rep = oracle.frequency_separation_report(truck.quarter_car, n_eff=1.25)
-        assert rep["stiffness_ratio"] > 5.0
-        assert rep["stiffness_ratio_ok"]
-        assert rep["tire_natural_frequency_hz"] == pytest.approx(7.96, abs=0.02)
-
     def test_instability_detection(self, truck):
         # half-meter road input at 8 Hz drives the linkage past its geometry
         road = oracle.Excitation(kind="sinusoid", amplitudes=(0.5,),
