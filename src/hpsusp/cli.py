@@ -8,6 +8,7 @@ failure, 5 validation-suite failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -148,10 +149,7 @@ def cmd_build_table(args) -> int:
     cfg = _load_config(args)
     settings = cfg.table
     if args.frequencies:
-        settings = config.TableBuildSettings(
-            frequencies_hz=args.frequencies, dt=settings.dt,
-            amplitude_scale=settings.amplitude_scale,
-            static_force_n=settings.static_force_n)
+        settings = dataclasses.replace(settings, frequencies_hz=args.frequencies)
     table = lookup.build_table(cfg.suspension, settings)
     lookup.save_table(table, args.out)
     cov = ", ".join(f"{f:g} Hz {g.coverage:.0%}"

@@ -8,8 +8,8 @@ Two presets ship with the package:
   linkage and quarter-car masses, used for wheel-load estimation runs.
 
 Config files are flat ``key = value`` text with unit-bearing key names so
-that runs are bit-exactly reproducible and diff-friendly. Unknown keys are
-rejected.
+that runs are bit-exactly reproducible and diff-friendly. Unknown keys,
+and a key given twice, are rejected.
 """
 
 from __future__ import annotations
@@ -86,14 +86,12 @@ class WheelLinkage:
     """Double-wishbone geometry and masses of one wheel station."""
 
     l_lower: float          # lower arm effective length, m
-    l_upper: float          # upper arm effective length, m (informational)
     l_eff: float            # suspension force arm, m
     alpha0: float           # lower-arm static installation angle, rad
     beta0: float            # static suspension axis inclination, rad
     k_beta: float           # inclination sensitivity d(beta)/d(theta), rad/rad
     m_u: float              # unsprung mass (includes the tire), kg
     m_t: float              # tire mass, kg
-    z_li: float = 0.0       # lower-arm inner hinge height datum, m
     g: float = GRAVITY      # m/s^2
 
     def __post_init__(self):
@@ -113,19 +111,31 @@ class WheelLinkage:
 
 @dataclass(frozen=True)
 class QuarterCarParams:
-    """Two-mass quarter-car parameters for the forward oracle."""
+    """Two-mass quarter-car parameters for the forward oracle.
+
+    The unsprung and tire masses are the linkage's, so the oracle and the
+    wheel-load estimator cannot disagree on them.
+    """
 
     m_s: float              # sprung mass per wheel, kg
-    m_u: float              # unsprung mass per wheel (includes tire), kg
-    m_t: float              # tire mass, kg
     k_t: float              # tire vertical stiffness, N/m
     c_t: float              # tire damping, N*s/m
     link: WheelLinkage
     cfg: SuspensionConfig
 
     def __post_init__(self):
-        if min(self.m_s, self.m_u, self.m_t, self.k_t) <= 0.0 or self.c_t < 0.0:
-            raise ValueError("quarter-car masses/stiffness must be positive")
+        if min(self.m_s, self.k_t) <= 0.0 or self.c_t < 0.0:
+            raise ValueError("sprung mass and tire stiffness must be positive")
+
+    @property
+    def m_u(self) -> float:
+        """Unsprung mass per wheel (includes the tire), kg."""
+        return self.link.m_u
+
+    @property
+    def m_t(self) -> float:
+        """Tire mass, kg."""
+        return self.link.m_t
 
 
 @dataclass(frozen=True)
@@ -154,10 +164,17 @@ class RunConfig:
     table: TableBuildSettings = field(default_factory=TableBuildSettings)
 
 
+def _fluid(t0: float) -> FluidProperties:
+    return FluidProperties(rho=850.0, mu=oil_viscosity(t0), k_bulk=1.7e9,
+                           gamma=1.4, p_atm=1.013e5)
+
+
+_FRICTION = FrictionParams(f_coulomb=200.0, f_static=300.0,
+                           v_stribeck=0.05, beta_fric=100.0, k_v=500.0)
+
+
 def bench_prototype(t0: float = 30.0) -> SuspensionConfig:
     """Bench test prototype suspension (75 mm cylinder, 0.8 MPa charge)."""
-    fluid = FluidProperties(rho=850.0, mu=oil_viscosity(t0), k_bulk=1.7e9,
-                            gamma=1.4, p_atm=1.013e5)
     geom = SuspensionGeometry(
         a1=4.418e-3, a2=1.885e-3, a3=2.533e-3,
         a_ch=math.pi * 0.003 ** 2,        # 6.0 mm orifice
@@ -166,15 +183,21 @@ def bench_prototype(t0: float = 30.0) -> SuspensionConfig:
         l_piston=0.05, l_ch=0.01, k_orif=1.5,
         v0_gas=1.0e-3, v0_oil=5.0e-4, n_valve=1)
     charge = GasChargeState(p0=0.8e6, t0=t0, alpha_t=0.002, omega_c=12.6)
-    friction = FrictionParams(f_coulomb=200.0, f_static=300.0,
-                              v_stribeck=0.05, beta_fric=100.0, k_v=500.0)
-    return SuspensionConfig(fluid=fluid, geom=geom, charge=charge,
-                            friction=friction, stroke_limit=0.05)
+    return SuspensionConfig(fluid=_fluid(t0), geom=geom, charge=charge,
+                            friction=_FRICTION, stroke_limit=0.05)
 
 
-def _truck_suspension(t0: float = 30.0) -> SuspensionConfig:
-    fluid = FluidProperties(rho=850.0, mu=oil_viscosity(t0), k_bulk=1.7e9,
-                            gamma=1.4, p_atm=1.013e5)
+def _corner(sus: SuspensionConfig) -> RunConfig:
+    """`sus` on the truck's double-wishbone linkage and quarter car."""
+    link = WheelLinkage(l_lower=0.65, l_eff=0.48,
+                        alpha0=math.radians(8.0), beta0=math.radians(20.0),
+                        k_beta=0.12, m_u=800.0, m_t=500.0)
+    qc = QuarterCarParams(m_s=7500.0, k_t=2.0e6, c_t=4.0e3, link=link, cfg=sus)
+    return RunConfig(suspension=sus, linkage=link, quarter_car=qc)
+
+
+def mining_truck(t0: float = 30.0) -> RunConfig:
+    """Heavy mining truck corner: suspension, linkage and quarter-car masses."""
     a1 = math.pi / 4.0 * 0.2495 ** 2
     a2 = math.pi / 4.0 * 0.210 ** 2
     geom = SuspensionGeometry(
@@ -185,56 +208,35 @@ def _truck_suspension(t0: float = 30.0) -> SuspensionConfig:
         l_piston=0.05, l_ch=0.01, k_orif=1.5,
         v0_gas=0.060, v0_oil=0.020, n_valve=1)
     charge = GasChargeState(p0=6.5e6, t0=t0, alpha_t=0.002, omega_c=12.6)
-    friction = FrictionParams(f_coulomb=200.0, f_static=300.0,
-                              v_stribeck=0.05, beta_fric=100.0, k_v=500.0)
-    return SuspensionConfig(fluid=fluid, geom=geom, charge=charge,
-                            friction=friction, stroke_limit=0.30)
-
-
-def _truck_linkage() -> WheelLinkage:
-    return WheelLinkage(l_lower=0.65, l_upper=0.58, l_eff=0.48,
-                        alpha0=math.radians(8.0), beta0=math.radians(20.0),
-                        k_beta=0.12, m_u=800.0, m_t=500.0)
-
-
-def mining_truck(t0: float = 30.0) -> RunConfig:
-    """Heavy mining truck corner: suspension, linkage and quarter-car masses."""
-    sus = _truck_suspension(t0)
-    link = _truck_linkage()
-    qc = QuarterCarParams(m_s=7500.0, m_u=link.m_u, m_t=link.m_t,
-                          k_t=2.0e6, c_t=4.0e3, link=link, cfg=sus)
+    rc = _corner(SuspensionConfig(fluid=_fluid(t0), geom=geom, charge=charge,
+                                  friction=_FRICTION, stroke_limit=0.30))
     # Center the table amplitude sweep on the loaded operating point.
-    static_force = qc.m_s * link.g / link.static_ratio()
+    static_force = rc.quarter_car.m_s * rc.linkage.g / rc.linkage.static_ratio()
     table = TableBuildSettings(amplitude_scale=4.0, static_force_n=static_force)
-    return RunConfig(suspension=sus, linkage=link, quarter_car=qc, table=table)
+    return dataclasses.replace(rc, table=table)
 
 
 def bench_run_config(t0: float = 30.0) -> RunConfig:
     """Bench prototype wrapped in a RunConfig (linkage/masses are nominal)."""
-    sus = bench_prototype(t0)
-    link = _truck_linkage()
-    qc = QuarterCarParams(m_s=7500.0, m_u=link.m_u, m_t=link.m_t,
-                          k_t=2.0e6, c_t=4.0e3, link=link, cfg=sus)
-    return RunConfig(suspension=sus, linkage=link, quarter_car=qc,
-                     table=TableBuildSettings())
+    return _corner(bench_prototype(t0))
 
 
-PRESET_NAMES = ("bench-prototype", "mining-truck")
+_PRESETS = {"bench-prototype": bench_run_config, "mining-truck": mining_truck}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str, t0: float = 30.0) -> RunConfig:
-    if name == "bench-prototype":
-        return bench_run_config(t0)
-    if name == "mining-truck":
-        return mining_truck(t0)
-    raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    return _PRESETS[name](t0)
 
 
 # ---------------------------------------------------------------------------
 # Flat key-value config file format.
 # ---------------------------------------------------------------------------
 
-# key -> (section object path, attribute)
+# key -> (section, attribute): the one map from a config key to a field, read
+# by both load and save. `_sections` names the object behind each section.
 _KEY_MAP = {
     "suspension.rho_kgpm3": ("fluid", "rho"),
     "suspension.mu_pas": ("fluid", "mu"),
@@ -267,12 +269,10 @@ _KEY_MAP = {
     "suspension.use_alg1_friction": ("suspension", "use_alg1_friction"),
     "suspension.stroke_limit_m": ("suspension", "stroke_limit"),
     "linkage.l_lower_m": ("linkage", "l_lower"),
-    "linkage.l_upper_m": ("linkage", "l_upper"),
     "linkage.l_eff_m": ("linkage", "l_eff"),
     "linkage.alpha0_rad": ("linkage", "alpha0"),
     "linkage.beta0_rad": ("linkage", "beta0"),
     "linkage.k_beta": ("linkage", "k_beta"),
-    "linkage.z_li_m": ("linkage", "z_li"),
     "linkage.m_u_kg": ("linkage", "m_u"),
     "linkage.m_t_kg": ("linkage", "m_t"),
     "linkage.g_mps2": ("linkage", "g"),
@@ -308,14 +308,22 @@ def _parse_value(key: str, raw: str):
     return numbers if is_list else numbers[0]
 
 
+def _sections(rc: RunConfig) -> dict:
+    """The object behind each section name of _KEY_MAP."""
+    sus = rc.suspension
+    return {"fluid": sus.fluid, "geom": sus.geom, "charge": sus.charge,
+            "friction": sus.friction, "suspension": sus, "linkage": rc.linkage,
+            "quarter_car": rc.quarter_car, "table": rc.table}
+
+
 def load_run_config(path) -> RunConfig:
     """Load a RunConfig from a flat key-value file.
 
     A ``preset`` key selects the base configuration; all other keys
-    override individual fields. Unknown keys raise ConfigError.
+    override individual fields. Unknown keys, and a key given twice,
+    raise ConfigError.
     """
     overrides = {}
-    base_name = "bench-prototype"
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -324,15 +332,15 @@ def load_run_config(path) -> RunConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, raw = (s.strip() for s in line.split("=", 1))
-            if key == "preset":
-                base_name = raw
-                continue
-            if key not in _KEY_MAP:
+            if key != "preset" and key not in _KEY_MAP:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in overrides:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} given twice")
             try:
-                overrides[key] = _parse_value(key, raw)
+                overrides[key] = raw if key == "preset" else _parse_value(key, raw)
             except ConfigError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    base_name = overrides.pop("preset", "bench-prototype")
     try:
         return _build_run_config(base_name, overrides)
     except ValueError as exc:  # a field's range check, or an unknown preset
@@ -340,53 +348,27 @@ def load_run_config(path) -> RunConfig:
 
 
 def _build_run_config(base_name: str, overrides: dict) -> RunConfig:
-    cfg = preset(base_name)
-    if not overrides:
-        return cfg
-
-    sections = {
-        "fluid": dict(_fields_of(cfg.suspension.fluid)),
-        "geom": dict(_fields_of(cfg.suspension.geom)),
-        "charge": dict(_fields_of(cfg.suspension.charge)),
-        "friction": dict(_fields_of(cfg.suspension.friction)),
-        "suspension": {"use_alg1_friction": cfg.suspension.use_alg1_friction,
-                       "stroke_limit": cfg.suspension.stroke_limit},
-        "linkage": dict(_fields_of(cfg.linkage)),
-        "quarter_car": {"m_s": cfg.quarter_car.m_s, "k_t": cfg.quarter_car.k_t,
-                        "c_t": cfg.quarter_car.c_t},
-        "table": dict(_fields_of(cfg.table)),
-    }
+    """The preset with `overrides` applied; `replace` re-runs each range check."""
+    changes = {}
     for key, value in overrides.items():
         section, attr = _KEY_MAP[key]
-        sections[section][attr] = value
+        changes.setdefault(section, {})[attr] = value
+    base = _sections(preset(base_name))
 
-    fluid = FluidProperties(**sections["fluid"])
-    geom = SuspensionGeometry(**sections["geom"])
-    charge = GasChargeState(**sections["charge"])
-    friction = FrictionParams(**sections["friction"])
-    sus = SuspensionConfig(fluid=fluid, geom=geom, charge=charge, friction=friction,
-                           **sections["suspension"])
-    link = WheelLinkage(**sections["linkage"])
-    qc = QuarterCarParams(m_s=sections["quarter_car"]["m_s"], m_u=link.m_u,
-                          m_t=link.m_t, k_t=sections["quarter_car"]["k_t"],
-                          c_t=sections["quarter_car"]["c_t"], link=link, cfg=sus)
-    table = TableBuildSettings(**sections["table"])
-    return RunConfig(suspension=sus, linkage=link, quarter_car=qc, table=table)
+    def new(section, **parts):
+        return dataclasses.replace(base[section], **parts, **changes.get(section, {}))
 
-
-def _fields_of(obj):
-    for f in dataclasses.fields(obj):
-        yield f.name, getattr(obj, f.name)
+    sus = new("suspension", fluid=new("fluid"), geom=new("geom"),
+              charge=new("charge"), friction=new("friction"))
+    link = new("linkage")
+    return RunConfig(suspension=sus, linkage=link,
+                     quarter_car=new("quarter_car", link=link, cfg=sus),
+                     table=new("table"))
 
 
 def save_run_config(cfg: RunConfig, path) -> None:
     """Write a RunConfig as a flat key-value file (full precision)."""
-    sections = {
-        "fluid": cfg.suspension.fluid, "geom": cfg.suspension.geom,
-        "charge": cfg.suspension.charge, "friction": cfg.suspension.friction,
-        "suspension": cfg.suspension, "linkage": cfg.linkage,
-        "quarter_car": cfg.quarter_car, "table": cfg.table,
-    }
+    sections = _sections(cfg)
     lines = []
     for key, (section, attr) in _KEY_MAP.items():
         value = getattr(sections[section], attr)

@@ -75,23 +75,13 @@ class BreakdownRows(NamedTuple):
     a: np.ndarray
 
 
-def _whole_trace(name: str) -> property:
-    def channel(self) -> np.ndarray:
-        out = np.empty(self.trace.n)
-        for lo in range(0, out.size, _BLOCK_ROWS):
-            out[lo:lo + _BLOCK_ROWS] = getattr(self.rows(lo, lo + _BLOCK_ROWS), name)
-        return out
-    return property(channel, doc=f"Whole-trace {name}, computed per row block.")
-
-
 @dataclass
 class ForceBreakdown:
     """Iterative estimate of a trace: its frequency and index, channels on demand.
 
     The chain is computed for a range of rows (`rows`), so no whole-trace
-    copy of its channels need exist. Each whole-trace channel (`f_out`,
-    `p2`, ...) and `cavitation_count` is built on every access, _BLOCK_ROWS
-    rows at a time.
+    copy of its channels need exist. `f_out` and `cavitation_count` are
+    built on every access, _BLOCK_ROWS rows at a time.
     """
 
     trace: PressureTrace
@@ -100,14 +90,13 @@ class ForceBreakdown:
     f_peak: float
     flow_inertia: bool = True
 
-    p2 = _whole_trace("p2")
-    f_gas = _whole_trace("f_gas")
-    f_damp = _whole_trace("f_damp")
-    f_fric = _whole_trace("f_fric")
-    f_out = _whole_trace("f_out")
-    v = _whole_trace("v")
-    h_total = _whole_trace("h_total")
-    a = _whole_trace("a")
+    @property
+    def f_out(self) -> np.ndarray:
+        """Whole-trace output force, computed per row block."""
+        out = np.empty(self.trace.n)
+        for lo in range(0, out.size, _BLOCK_ROWS):
+            out[lo:lo + _BLOCK_ROWS] = self.rows(lo, lo + _BLOCK_ROWS).f_out
+        return out
 
     @property
     def cavitation_count(self) -> int:

@@ -428,6 +428,16 @@ class TestConfigFlag:
         assert "config error" in err and "'suspension.lowpass_hz'" in err
         assert not out.exists()
 
+    def test_key_given_twice_is_config_error(self, capsys, trace_file, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("preset = bench-prototype\npreset = mining-truck\n")
+        out = tmp_path / "o.csv"
+        code, _, err = run_cli(capsys, "estimate", "--config", str(path),
+                               "--trace", trace_file, "--out", str(out))
+        assert code == 2
+        assert f"{path}:2: key 'preset' given twice" in err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("flags", [("--omega", "31"),
                                    ("--table", "/nonexistent.hplt"),

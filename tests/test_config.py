@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import pytest
 
-from hpsusp import config
+from hpsusp import config, core
 
 
 class TestPresets:
@@ -73,15 +74,24 @@ class TestDigest:
 
 class TestConfigFile:
     def test_save_load_round_trip(self, tmp_path):
-        rc = config.mining_truck(30.0)
-        path = tmp_path / "truck.cfg"
-        config.save_run_config(rc, path)
-        back = config.load_run_config(path)
-        assert back.suspension == rc.suspension
-        assert back.linkage == rc.linkage
-        assert back.quarter_car.m_s == rc.quarter_car.m_s
-        assert back.table == rc.table
-        assert back.suspension.digest() == rc.suspension.digest()
+        for name in config.PRESET_NAMES:
+            rc = config.preset(name)
+            path = tmp_path / f"{name}.cfg"
+            config.save_run_config(rc, path)
+            back = config.load_run_config(path)
+            assert back == rc
+            assert back.suspension.digest() == rc.suspension.digest()
+
+    @pytest.mark.parametrize("key, first, second", [
+        ("preset", "mining-truck", "bench-prototype"),
+        ("suspension.t0_c", "30", "30"),
+    ])
+    def test_key_given_twice_rejected(self, tmp_path, key, first, second):
+        path = tmp_path / "cfg.cfg"
+        path.write_text(f"{key} = {first}\n# the repeat is an error\n{key} = {second}\n")
+        with pytest.raises(config.ConfigError, match=(
+                f"^{re.escape(str(path))}:3: key '{re.escape(key)}' given twice")):
+            config.load_run_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -149,3 +159,69 @@ def test_sweep_size_key_is_gone(tmp_path):
     path.write_text("preset = bench-prototype\ntable.n_amplitudes = 40\n")
     with pytest.raises(config.ConfigError, match="unknown key 'table.n_amplitudes'"):
         config.load_run_config(path)
+
+
+@pytest.mark.parametrize("key", ["linkage.l_upper_m", "linkage.z_li_m"])
+def test_unread_linkage_keys_are_gone(tmp_path, key):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"preset = mining-truck\n{key} = 0.5\n")
+    with pytest.raises(config.ConfigError,
+                       match=f"^{re.escape(str(path))}:2: unknown key '{re.escape(key)}'"):
+        config.load_run_config(path)
+
+
+def test_key_map_covers_every_scalar_field_once():
+    sections = config._sections(config.mining_truck())
+    assert {type(obj) for obj in sections.values()} == {
+        core.FluidProperties, core.SuspensionGeometry, core.GasChargeState,
+        core.FrictionParams, config.SuspensionConfig, config.WheelLinkage,
+        config.QuarterCarParams, config.TableBuildSettings}
+    scalar_fields = [(name, f.name) for name, obj in sections.items()
+                     for f in dataclasses.fields(obj)
+                     if not dataclasses.is_dataclass(getattr(obj, f.name))]
+    assert sorted(config._KEY_MAP.values()) == sorted(scalar_fields)
+
+
+def _key_values(rc) -> dict:
+    sections = config._sections(rc)
+    return {key: getattr(sections[section], attr)
+            for key, (section, attr) in config._KEY_MAP.items()}
+
+
+def _changed(value):
+    """A different value that passes every range check of the truck preset."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, tuple):
+        return tuple(1.25 * x for x in value)
+    return 1.25 * value
+
+
+def _text(value) -> str:
+    return ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+
+
+@pytest.mark.parametrize("key", list(config._KEY_MAP))
+def test_each_key_lands_on_its_field(tmp_path, key):
+    base = config.mining_truck()
+    before = _key_values(base)
+    written = {key: _changed(before[key])}
+    # a3 = a1 - a2 must keep holding: a second line restores it.
+    g = base.suspension.geom
+    tied = {"suspension.a1_m2": ("suspension.a3_m2", lambda a1: a1 - g.a2),
+            "suspension.a2_m2": ("suspension.a3_m2", lambda a2: g.a1 - a2),
+            "suspension.a3_m2": ("suspension.a1_m2", lambda a3: g.a2 + a3)}
+    if key in tied:
+        other, rule = tied[key]
+        written[other] = rule(written[key])
+    path = tmp_path / "run.cfg"
+    path.write_text("preset = mining-truck\n"
+                    + "".join(f"{k} = {_text(v)}\n" for k, v in written.items()))
+    rc = config.load_run_config(path)
+    after = _key_values(rc)
+    assert {k: v for k, v in after.items() if v != before[k]} == written
+    qc = rc.quarter_car
+    assert qc.link is rc.linkage and qc.cfg is rc.suspension
+    assert (qc.m_u, qc.m_t) == (rc.linkage.m_u, rc.linkage.m_t)

@@ -120,13 +120,13 @@ class TestRun:
         p0 = bench_cfg.charge.p0
         trace = estimator.PressureTrace(dt=DT, samples=np.full(512, p0),
                                         t0_temperature=30.0)
-        bd = estimator.run(trace, bench_cfg, freq_override=5.0)
-        assert np.allclose(bd.v, 0.0)
-        assert np.allclose(bd.f_damp, 0.0)
-        assert np.allclose(bd.f_fric, 0.0)
+        rows = estimator.run(trace, bench_cfg, freq_override=5.0).rows()
+        assert np.allclose(rows.v, 0.0)
+        assert np.allclose(rows.f_damp, 0.0)
+        assert np.allclose(rows.f_fric, 0.0)
         f_expected = (p0 - bench_cfg.fluid.p_atm) * (bench_cfg.geom.a1
                                                      - bench_cfg.geom.a2)
-        assert np.allclose(bd.f_gas, f_expected)
+        assert np.allclose(rows.f_gas, f_expected)
 
     def test_static_trace_without_override_raises(self, bench_cfg):
         trace = estimator.PressureTrace(dt=DT,
@@ -138,7 +138,8 @@ class TestRun:
     def test_force_decomposition_exact(self, bench_cfg):
         trace = _sine_trace(5.0, n=2048)
         bd = estimator.run(trace, bench_cfg)
-        assert np.array_equal(bd.f_out, bd.f_gas + bd.f_damp + bd.f_fric)
+        rows = bd.rows()
+        assert np.array_equal(bd.f_out, rows.f_gas + rows.f_damp + rows.f_fric)
 
     def test_determinism(self, bench_cfg):
         trace = _sine_trace(5.0, n=2048)
@@ -172,7 +173,7 @@ class TestRun:
             cfg = config.bench_prototype(t0=t0)
             trace = oracle.simulate_suspension(exc, cfg, DT)
             bd = estimator.run(trace.to_pressure_trace(), cfg)
-            areas[t0] = metrics.loop_area(bd.h_total, bd.f_out)
+            areas[t0] = metrics.loop_area(bd.rows().h_total, bd.f_out)
         assert areas[50.0] < areas[30.0]
 
     def test_flow_inertia_flag_zeroes_only_inertia(self, bench_cfg):
@@ -183,6 +184,7 @@ class TestRun:
         without = estimator.run(trace, bench_cfg, freq_override=5.0,
                                 flow_inertia=False)
         # the kinematic chain is untouched; the damping chain changes
+        with_i, without = with_i.rows(), without.rows()
         assert np.array_equal(with_i.v, without.v)
         assert np.array_equal(with_i.f_fric, without.f_fric)
         assert not np.array_equal(with_i.f_damp, without.f_damp)

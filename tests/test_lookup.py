@@ -423,8 +423,9 @@ def _reference_sweeps(cfg, settings):
             dp = np.empty_like(trace.p1)
             dp[1:] = np.diff(trace.p1)
             dp[0] = dp[1]
-            cols.append(np.column_stack([trace.p1, dp, est.f_out, est.v,
-                                         est.rows().h_gas])[skip:])
+            rows = est.rows()
+            cols.append(np.column_stack([trace.p1, dp, rows.f_out, rows.v,
+                                         rows.h_gas])[skip:])
         sweeps.append(np.concatenate(cols))
 
     all_p = np.concatenate([s[:, 0] for s in sweeps])
@@ -475,7 +476,8 @@ class TestClosedFormTable:
                     t0_temperature=30.0)
                 bd = estimator.run(trace, bench_cfg, freq_override=f,
                                    flow_inertia=False)
-                want = np.array([bd.f_out[-1], bd.v[-1], bd.rows().h_gas[-1]])
+                rows = bd.rows()
+                want = np.array([rows.f_out[-1], rows.v[-1], rows.h_gas[-1]])
                 # float32 storage: half an ulp of the value, plus float64
                 # rounding on the scale of the column
                 assert np.all(np.abs(g.cells[i, j] - want)

@@ -131,8 +131,11 @@ class TestWheelLoad:
 
 
 def _tire_vertical_displacement(theta, link):
-    """Tire center height z_t from the lower-arm angle (datum z_li)."""
-    return link.z_li + link.l_lower * math.sin(link.alpha0 + theta)
+    """Tire center height z_t from the lower-arm angle, above the inner hinge.
+
+    The hinge's own height is a constant datum; it cancels in a difference.
+    """
+    return link.l_lower * math.sin(link.alpha0 + theta)
 
 
 class TestVirtualWorkConsistency:
