@@ -228,7 +228,10 @@ PRESET_NAMES = tuple(_PRESETS)
 def preset(name: str, t0: float = 30.0) -> RunConfig:
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    return _PRESETS[name](t0)
+    try:
+        return _PRESETS[name](t0)
+    except ValueError as exc:  # a part's range check, e.g. a t0 whose mu is 0
+        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +356,9 @@ def _build_run_config(base_name: str, overrides: dict) -> RunConfig:
     for key, value in overrides.items():
         section, attr = _KEY_MAP[key]
         changes.setdefault(section, {})[attr] = value
-    base = _sections(preset(base_name))
+    # Built at the file's own t0, so mu follows it unless mu_pas is set too.
+    t0 = overrides.get("suspension.t0_c")
+    base = _sections(preset(base_name) if t0 is None else preset(base_name, t0))
 
     def new(section, **parts):
         return dataclasses.replace(base[section], **parts, **changes.get(section, {}))

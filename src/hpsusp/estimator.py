@@ -8,7 +8,7 @@ pressure-drop chain, friction, and the total output force.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -40,8 +40,7 @@ class PressureTrace:
     """Uniformly sampled gas-chamber pressure signal, the sole runtime input."""
 
     dt: float
-    samples: np.ndarray            # Pa
-    t0_temperature: float = 30.0   # degC
+    samples: np.ndarray    # Pa
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
@@ -85,7 +84,7 @@ class ForceBreakdown:
     """
 
     trace: PressureTrace
-    cfg: SuspensionConfig      # its charge at the trace's temperature
+    cfg: SuspensionConfig      # the caller's config, as given
     n_eff: float
     f_peak: float
     flow_inertia: bool = True
@@ -243,7 +242,6 @@ def run(trace: PressureTrace, cfg: SuspensionConfig,
     """
     f_peak = float(freq_override) if freq_override is not None \
         else estimate_peak_frequency(trace)
-    cfg = replace(cfg, charge=replace(cfg.charge, t0=trace.t0_temperature))
     n_eff = core.effective_polytropic_index(2.0 * np.pi * f_peak, cfg.charge, cfg.fluid)
     return ForceBreakdown(trace=trace, cfg=cfg, n_eff=float(n_eff), f_peak=f_peak,
                           flow_inertia=flow_inertia)

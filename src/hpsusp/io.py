@@ -157,7 +157,7 @@ def write_trace_csv(path, trace: OracleTrace) -> None:
     _write_rows(path, header, cols)
 
 
-def read_trace_csv(path, t0_temperature: float = 30.0):
+def read_trace_csv(path):
     """Read a trace CSV; returns (PressureTrace, truth-column dict).
 
     The sampling period is inferred from the time column and must be
@@ -167,12 +167,12 @@ def read_trace_csv(path, t0_temperature: float = 30.0):
     array, so a caller that drops a truth column frees its memory.
     """
     try:
-        return _read_trace_csv(path, t0_temperature)
+        return _read_trace_csv(path)
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _read_trace_csv(path, t0_temperature: float):
+def _read_trace_csv(path):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -196,7 +196,7 @@ def _read_trace_csv(path, t0_temperature: float):
     if not dt > 0.0 or not np.all(np.abs(steps, out=steps) <= 1e-6 * dt):
         raise CsvFormatError(f"{path}: time column is not uniformly sampled")
     del steps
-    trace = PressureTrace(dt=dt, samples=p, t0_temperature=t0_temperature)
+    trace = PressureTrace(dt=dt, samples=p)
     return trace, dict(zip(header[2:], columns[2:]))
 
 

@@ -65,8 +65,14 @@ class Excitation:
             raise ValueError("duration must be positive and finite")
         if not self.phases:
             object.__setattr__(self, "phases", tuple(0.0 for _ in self.amplitudes))
-        if self.kind == "linear-sweep" and len(self.frequencies) != 2:
-            raise ValueError("linear-sweep needs (f_start, f_end)")
+        # The (amplitudes, frequencies, phases) each kind reads; a tone left
+        # over would otherwise be dropped without a word.
+        counts = (len(self.amplitudes), len(self.frequencies), len(self.phases))
+        need = {"sinusoid": (1, 1, 1), "linear-sweep": (1, 2, 1)}.get(
+            self.kind, (max(counts[0], 1),) * 3)
+        if counts != need:
+            raise ValueError(f"{self.kind} needs {need} amplitudes, frequencies "
+                             f"and phases, got {counts}")
         n_cycles = self.duration * min(self.frequencies)
         if n_cycles < 20.0 - 1e-9:
             raise ValueError("duration must cover at least 20 cycles of the lowest frequency")
@@ -143,7 +149,6 @@ class OracleTrace:
     zdot_t: np.ndarray | None = None
     z_g: np.ndarray | None = None
     f_tire_truth: np.ndarray | None = None
-    t0_temperature: float = 30.0
 
     @property
     def t(self) -> np.ndarray:
@@ -151,8 +156,7 @@ class OracleTrace:
 
     def to_pressure_trace(self):
         from .estimator import PressureTrace
-        return PressureTrace(dt=self.dt, samples=self.p1.copy(),
-                             t0_temperature=self.t0_temperature)
+        return PressureTrace(dt=self.dt, samples=self.p1.copy())
 
 
 def simulate_suspension(excitation: Excitation, cfg: SuspensionConfig,
@@ -186,8 +190,7 @@ def simulate_suspension(excitation: Excitation, cfg: SuspensionConfig,
     p2, _, f_gas, f_damp, f_fric = core.force_chain(p1, v, cfg.geom.a3 * a, cfg)
     return OracleTrace(dt=dt, h=h, p1=p1, p2=p2,
                        f_out=f_gas + f_damp + f_fric, v=v,
-                       f_gas=f_gas, f_damp=f_damp, f_fric=f_fric,
-                       t0_temperature=cfg.charge.t0)
+                       f_gas=f_gas, f_damp=f_damp, f_fric=f_fric)
 
 
 def static_gas_offset(cfg: SuspensionConfig, static_force: float, n_eff: float) -> float:
@@ -344,5 +347,4 @@ def simulate_quarter_car(road: Excitation, params: QuarterCarParams,
                        f_out=out["f_out"], v=out["v"],
                        z_s=out["z_s"], z_t=out["z_t"],
                        zdot_s=out["w_s"], zdot_t=out["w_t"],
-                       z_g=out["z_g"], f_tire_truth=out["f_tire"],
-                       t0_temperature=charge.t0)
+                       z_g=out["z_g"], f_tire_truth=out["f_tire"])

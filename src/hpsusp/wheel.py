@@ -136,7 +136,6 @@ class WheelLoadSeries:
     h_ref: float             # travel reference: run mean of the looked-up h, m
     dt: float
     link: WheelLinkage
-    include_beta_rate: bool = False
     liftoff_count: int = 0
 
     @property
@@ -168,8 +167,7 @@ class WheelLoadSeries:
         v, f_out = est.v[lo:hi], est.f_out[lo:hi]
         theta, beta = lower_arm_angle(h_sus, link)
         i_sus = suspension_ratio(theta, beta, link)
-        z_ddot = tire_acceleration(theta, beta, v, a_sus, link,
-                                   include_beta_rate=self.include_beta_rate)
+        z_ddot = tire_acceleration(theta, beta, v, a_sus, link)
         f_tire = wheel_load(f_out, i_sus, z_ddot, link, warn_liftoff=False)
         return WheelLoadRows(f_tire=f_tire, f_out=f_out, v=v, h_sus=h_sus,
                              a_sus=a_sus, theta=theta, beta=beta, i_sus=i_sus,
@@ -178,8 +176,7 @@ class WheelLoadSeries:
 
 def estimate_wheel_load_series(trace: PressureTrace, table: lookup.LookupTable,
                                link: WheelLinkage,
-                               omega: float | str = "auto",
-                               include_beta_rate: bool = False) -> WheelLoadSeries:
+                               omega: float | str = "auto") -> WheelLoadSeries:
     """Pressure trace -> wheel load, the full per-sample estimation chain.
 
     Steps per sample: pressure increment, table lookup for
@@ -193,8 +190,7 @@ def estimate_wheel_load_series(trace: PressureTrace, table: lookup.LookupTable,
     raises any GeometrySingularityError before the caller writes output.
     """
     est = lookup.estimate_series(trace, table, omega=omega)
-    series = WheelLoadSeries(est=est, h_ref=est.h.mean(), dt=trace.dt, link=link,
-                             include_beta_rate=include_beta_rate)
+    series = WheelLoadSeries(est=est, h_ref=est.h.mean(), dt=trace.dt, link=link)
     series.liftoff_count = sum(
         int(np.count_nonzero(series.rows(lo, lo + _BLOCK_ROWS).f_tire < 0.0))
         for lo in range(0, series.n, _BLOCK_ROWS))

@@ -198,7 +198,7 @@ def test_singular_sample_in_last_block_raises_before_output(case, monkeypatch,
     g = table.grids[0]
     p = np.full(200, 0.5 * (g.p_min + g.p_max))
     p[-1] += 0.2 * (g.p_max - g.p_min)
-    trace = estimator.PressureTrace(dt=DT, samples=p, t0_temperature=30.0)
+    trace = estimator.PressureTrace(dt=DT, samples=p)
     series = wheel.estimate_wheel_load_series(trace, table, truck.linkage,
                                               omega=g.omega)
     h_sus = series.rows().h_sus

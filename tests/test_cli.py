@@ -388,14 +388,18 @@ class TestConfigFlag:
 
     def test_trace_temperature_comes_from_the_file(self, capsys, cfg_50,
                                                    trace_file, tmp_path):
-        by_file, by_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
-        code, _, _ = run_cli(capsys, "estimate", "--config", cfg_50,
-                             "--trace", trace_file, "--out", str(by_file))
-        assert code == 0
+        minimal = tmp_path / "minimal50.cfg"
+        minimal.write_text("preset = bench-prototype\nsuspension.t0_c = 50\n")
+        by_flag = tmp_path / "flag.csv"
         code, _, _ = run_cli(capsys, "estimate", "--t0", "50",
                              "--trace", trace_file, "--out", str(by_flag))
         assert code == 0
-        assert by_file.read_bytes() == by_flag.read_bytes()
+        for cfg_file in (cfg_50, str(minimal)):
+            by_file = tmp_path / "file.csv"
+            code, _, _ = run_cli(capsys, "estimate", "--config", cfg_file,
+                                 "--trace", trace_file, "--out", str(by_file))
+            assert code == 0
+            assert by_file.read_bytes() == by_flag.read_bytes()
 
     @pytest.mark.parametrize("command", ["simulate", "estimate", "build-table",
                                          "wheel-load", "bench"])
@@ -474,6 +478,7 @@ def test_lookup_mode_omega_defaults_to_auto(capsys, trace_file, table_file,
      "suspension.rho_kgpm3: value must be finite"),
     (("estimate",), "suspension.rho_kgpm3 = -1", "density"),
     (("estimate",), "suspension.t0_c = -300", "above -273.15 degC"),
+    (("estimate", "--t0", "1e6"), None, "viscosity"),
 ])
 def test_non_finite_or_unphysical_number_is_usage_error(capsys, trace_file,
                                                          tmp_path, argv,

@@ -136,6 +136,20 @@ class TestConfigFile:
         with pytest.raises(config.ConfigError, match=f"^{re.escape(str(path))}: .*{message}"):
             config.load_run_config(path)
 
+    @pytest.mark.parametrize("name", config.PRESET_NAMES)
+    def test_file_temperature_builds_the_preset(self, tmp_path, name):
+        path = tmp_path / "cfg.cfg"
+        path.write_text(f"preset = {name}\nsuspension.t0_c = 50\n")
+        rc, expected = config.load_run_config(path), config.preset(name, 50.0)
+        assert rc == expected
+        assert rc.suspension.digest() == expected.suspension.digest()
+
+    def test_explicit_viscosity_wins_over_file_temperature(self, tmp_path):
+        path = tmp_path / "cfg.cfg"
+        path.write_text("suspension.t0_c = 50\nsuspension.mu_pas = 0.07\n")
+        rc = config.load_run_config(path)
+        assert (rc.suspension.charge.t0, rc.suspension.fluid.mu) == (50.0, 0.07)
+
     def test_none_only_for_the_optional_preload(self, tmp_path):
         path = tmp_path / "cfg.cfg"
         path.write_text("table.static_force_n = none\n")
@@ -221,7 +235,10 @@ def test_each_key_lands_on_its_field(tmp_path, key):
                     + "".join(f"{k} = {_text(v)}\n" for k, v in written.items()))
     rc = config.load_run_config(path)
     after = _key_values(rc)
-    assert {k: v for k, v in after.items() if v != before[k]} == written
+    expected = dict(written)
+    if key == "suspension.t0_c":  # the preset is built at the file's t0
+        expected["suspension.mu_pas"] = config.oil_viscosity(written[key])
+    assert {k: v for k, v in after.items() if v != before[k]} == expected
     qc = rc.quarter_car
     assert qc.link is rc.linkage and qc.cfg is rc.suspension
     assert (qc.m_u, qc.m_t) == (rc.linkage.m_u, rc.linkage.m_t)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from hpsusp import config, estimator, metrics, oracle
+from hpsusp import config, core, estimator, metrics, oracle
 
 DT = 1.0 / 360.0
 
@@ -18,7 +18,7 @@ def _sine_trace(freq_hz: float, n: int = 7200, amp: float = 5e4,
                 p_mean: float = 1.0e6) -> estimator.PressureTrace:
     t = np.arange(n) * DT
     p = p_mean + amp * np.sin(2 * np.pi * freq_hz * t)
-    return estimator.PressureTrace(dt=DT, samples=p, t0_temperature=30.0)
+    return estimator.PressureTrace(dt=DT, samples=p)
 
 
 class TestPeakFrequency:
@@ -31,8 +31,7 @@ class TestPeakFrequency:
         assert f == pytest.approx(7.5, abs=0.05)
 
     def test_constant_signal_raises(self):
-        trace = estimator.PressureTrace(dt=DT, samples=np.full(256, 1e6),
-                                        t0_temperature=30.0)
+        trace = estimator.PressureTrace(dt=DT, samples=np.full(256, 1e6))
         with pytest.raises(estimator.NoDominantFrequencyError):
             estimator.estimate_peak_frequency(trace)
 
@@ -81,7 +80,7 @@ class TestSpectrumSplit:
         assert np.any(got > threshold) and np.any(ref > threshold)
         k = int(np.argmax(ref))
         assert int(np.argmax(got)) == k
-        trace = estimator.PressureTrace(dt=DT, samples=x, t0_temperature=30.0)
+        trace = estimator.PressureTrace(dt=DT, samples=x)
         assert estimator.estimate_peak_frequency(trace) == k / (n * DT)
 
     def test_batched_windows_equal_single_rfft(self):
@@ -96,8 +95,7 @@ class TestSpectrumSplit:
             assert f == np.argmax(spectrum) / (win * DT)
 
     def test_constant_split_length_raises(self):
-        trace = estimator.PressureTrace(dt=DT, samples=np.full(108001, 1e6),
-                                        t0_temperature=30.0)
+        trace = estimator.PressureTrace(dt=DT, samples=np.full(108001, 1e6))
         with pytest.raises(estimator.NoDominantFrequencyError):
             estimator.estimate_peak_frequency(trace)
 
@@ -118,8 +116,7 @@ class TestSpectrumSplit:
 class TestRun:
     def test_static_trace_with_override(self, bench_cfg):
         p0 = bench_cfg.charge.p0
-        trace = estimator.PressureTrace(dt=DT, samples=np.full(512, p0),
-                                        t0_temperature=30.0)
+        trace = estimator.PressureTrace(dt=DT, samples=np.full(512, p0))
         rows = estimator.run(trace, bench_cfg, freq_override=5.0).rows()
         assert np.allclose(rows.v, 0.0)
         assert np.allclose(rows.f_damp, 0.0)
@@ -130,8 +127,7 @@ class TestRun:
 
     def test_static_trace_without_override_raises(self, bench_cfg):
         trace = estimator.PressureTrace(dt=DT,
-                                        samples=np.full(512, bench_cfg.charge.p0),
-                                        t0_temperature=30.0)
+                                        samples=np.full(512, bench_cfg.charge.p0))
         with pytest.raises(estimator.NoDominantFrequencyError):
             estimator.run(trace, bench_cfg)
 
@@ -176,6 +172,13 @@ class TestRun:
             areas[t0] = metrics.loop_area(bd.rows().h_total, bd.f_out)
         assert areas[50.0] < areas[30.0]
 
+    def test_config_used_as_given(self):
+        cfg = config.bench_prototype(50.0)
+        bd = estimator.run(_sine_trace(5.0, n=2048), cfg, freq_override=5.0)
+        assert bd.cfg == cfg
+        assert bd.n_eff == core.effective_polytropic_index(2.0 * np.pi * 5.0,
+                                                           cfg.charge, cfg.fluid)
+
     def test_flow_inertia_flag_zeroes_only_inertia(self, bench_cfg):
         exc = oracle.Excitation(kind="sinusoid", amplitudes=(7.5e-3,),
                                 frequencies=(5.0,), duration=4.0)
@@ -193,26 +196,22 @@ class TestRun:
 class TestPressureTrace:
     def test_rejects_nonpositive_samples(self):
         with pytest.raises(ValueError):
-            estimator.PressureTrace(dt=DT, samples=np.array([1e6] * 20 + [0.0]),
-                                    t0_temperature=30.0)
+            estimator.PressureTrace(dt=DT, samples=np.array([1e6] * 20 + [0.0]))
 
     def test_rejects_short_traces(self):
         with pytest.raises(ValueError):
-            estimator.PressureTrace(dt=DT, samples=np.full(8, 1e6),
-                                    t0_temperature=30.0)
+            estimator.PressureTrace(dt=DT, samples=np.full(8, 1e6))
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
-            estimator.PressureTrace(dt=0.0, samples=np.full(64, 1e6),
-                                    t0_temperature=30.0)
+            estimator.PressureTrace(dt=0.0, samples=np.full(64, 1e6))
 
     def test_rejects_nan_sample(self):
         samples = np.full(400, 1e6)
         samples[123] = np.nan
         with pytest.raises(ValueError, match="positive and finite"):
-            estimator.PressureTrace(dt=DT, samples=samples, t0_temperature=30.0)
+            estimator.PressureTrace(dt=DT, samples=samples)
 
     def test_rejects_nan_dt(self):
         with pytest.raises(ValueError, match="sampling period"):
-            estimator.PressureTrace(dt=float("nan"), samples=np.full(400, 1e6),
-                                    t0_temperature=30.0)
+            estimator.PressureTrace(dt=float("nan"), samples=np.full(400, 1e6))

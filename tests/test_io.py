@@ -24,18 +24,12 @@ class TestTraceRoundTrip:
     def test_pressure_and_truth_preserved(self, tmp_path, trace):
         path = tmp_path / "trace.csv"
         io.write_trace_csv(path, trace)
-        back, truth = io.read_trace_csv(path, t0_temperature=30.0)
+        back, truth = io.read_trace_csv(path)
         assert back.dt == pytest.approx(trace.dt, rel=1e-9)
         np.testing.assert_allclose(back.samples, trace.p1, rtol=1e-15)
         np.testing.assert_allclose(truth["f_out_truth_n"], trace.f_out, rtol=1e-15)
         np.testing.assert_allclose(truth["v_truth_mps"], trace.v, rtol=1e-15)
         np.testing.assert_allclose(truth["h_truth_m"], trace.h, rtol=1e-15)
-
-    def test_temperature_carried_to_trace(self, tmp_path, trace):
-        path = tmp_path / "trace.csv"
-        io.write_trace_csv(path, trace)
-        back, _ = io.read_trace_csv(path, t0_temperature=50.0)
-        assert back.t0_temperature == 50.0
 
     def test_header_layout(self, tmp_path, trace):
         path = tmp_path / "trace.csv"
@@ -124,8 +118,7 @@ class TestOutputWriters:
         assert path.read_bytes() == ref.read_bytes()
 
     def test_lookup_csv_matches_csv_writer_bytes(self, tmp_path, trace, bench_table):
-        pt = estimator.PressureTrace(dt=trace.dt, samples=trace.p1,
-                                     t0_temperature=30.0)
+        pt = estimator.PressureTrace(dt=trace.dt, samples=trace.p1)
         est = lookup.estimate_series(pt, bench_table, omega="auto")
         path = tmp_path / "lookup.csv"
         io.write_lookup_csv(path, pt, est)
@@ -139,8 +132,7 @@ class TestOutputWriters:
         assert path.read_bytes().count(b"\r\n") == pt.n + 1
 
     def test_breakdown_csv_columns(self, tmp_path, trace, bench_cfg):
-        pt = estimator.PressureTrace(dt=trace.dt, samples=trace.p1,
-                                     t0_temperature=30.0)
+        pt = estimator.PressureTrace(dt=trace.dt, samples=trace.p1)
         bd = estimator.run(pt, bench_cfg)
         path = tmp_path / "bd.csv"
         io.write_breakdown_csv(path, pt, bd)

@@ -200,16 +200,14 @@ class TestQuery:
 class TestEstimateSeries:
     def test_constant_trace(self, bench_table, bench_cfg):
         p_level = 0.5 * (bench_table.grids[0].p_min + bench_table.grids[0].p_max)
-        trace = estimator.PressureTrace(dt=DT, samples=np.full(512, p_level),
-                                        t0_temperature=30.0)
+        trace = estimator.PressureTrace(dt=DT, samples=np.full(512, p_level))
         est = lookup.estimate_series(trace, bench_table,
                                      omega=bench_table.grids[1].omega)
         assert np.allclose(est.v, 0.0, atol=1e-6)
         assert np.allclose(est.f_out, est.f_out[0])
 
     def test_dt_mismatch_raises(self, bench_table):
-        trace = estimator.PressureTrace(dt=DT * 2, samples=np.full(64, 1.0e6),
-                                        t0_temperature=30.0)
+        trace = estimator.PressureTrace(dt=DT * 2, samples=np.full(64, 1.0e6))
         with pytest.raises(lookup.TimeBaseError):
             lookup.estimate_series(trace, bench_table, omega=30.0)
 
@@ -236,7 +234,7 @@ class TestEstimateSeries:
         phase = 2 * np.pi * (2.0 * t + 3.5 * t ** 2 / span)
         p = 0.5 * (g.p_min + g.p_max) + 0.2 * (g.p_max - g.p_min) * np.sin(phase)
         p[:n // 4] = p[n // 4]  # leading windows without a spectral peak
-        return estimator.PressureTrace(dt=DT, samples=p, t0_temperature=30.0)
+        return estimator.PressureTrace(dt=DT, samples=p)
 
     @staticmethod
     def _reference_omega(samples, dt):
@@ -285,7 +283,7 @@ class TestEstimateSeries:
         t = np.arange(21601) * DT
         phase = 2 * np.pi * (3.0 * t + 117.0 * t ** 2 / (2.0 * t[-1]))
         p = 0.5 * (g.p_min + g.p_max) + 0.3 * (g.p_max - g.p_min) * np.sin(phase)
-        trace = estimator.PressureTrace(dt=DT, samples=p, t0_temperature=30.0)
+        trace = estimator.PressureTrace(dt=DT, samples=p)
         est = lookup.estimate_series(trace, bench_table, omega="auto")
         assert np.unique(est.omega).size > 100
 
@@ -305,8 +303,7 @@ class TestEstimateSeries:
         assert stats.p_clamped + stats.dp_clamped > 0
 
     def test_non_finite_fixed_omega_rejected(self, bench_table):
-        trace = estimator.PressureTrace(dt=DT, samples=np.full(64, 1.0e6),
-                                        t0_temperature=30.0)
+        trace = estimator.PressureTrace(dt=DT, samples=np.full(64, 1.0e6))
         with pytest.raises(ValueError, match="omega must be finite"):
             lookup.estimate_series(trace, bench_table, omega=float("nan"))
 
@@ -472,8 +469,7 @@ class TestClosedFormTable:
                             rng.integers(0, lookup.N_DP, 20)):
                 p, dp = p_axis[i], dp_axis[j]
                 trace = estimator.PressureTrace(
-                    dt=bench_table.dt, samples=np.append(np.full(15, p - dp), p),
-                    t0_temperature=30.0)
+                    dt=bench_table.dt, samples=np.append(np.full(15, p - dp), p))
                 bd = estimator.run(trace, bench_cfg, freq_override=f,
                                    flow_inertia=False)
                 rows = bd.rows()
@@ -528,7 +524,7 @@ class TestClosedFormTable:
         t = np.arange(n) * DT
         phase = 2 * np.pi * (2.0 * t + 3.5 * t ** 2 / t[-1])
         p = 0.5 * (g.p_min + g.p_max) + 0.45 * (g.p_max - g.p_min) * np.sin(phase)
-        trace = estimator.PressureTrace(dt=DT, samples=p, t0_temperature=30.0)
+        trace = estimator.PressureTrace(dt=DT, samples=p)
         est = lookup.estimate_series(trace, bench_table, omega="auto")
         dp = np.empty_like(p)
         dp[1:] = np.diff(p)

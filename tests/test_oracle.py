@@ -326,6 +326,24 @@ class TestQuarterCarBlockwiseRoad:
         assert peak / n_out < 512.0
 
 
+@pytest.mark.parametrize("kind, amplitudes, frequencies, phases", [
+    ("sinusoid", (1e-3, 2e-3), (5.0,), ()),
+    ("sinusoid", (1e-3, 2e-3), (5.0, 6.0), ()),
+    ("sinusoid", (1e-3,), (5.0,), (0.0, 1.0)),
+    ("sum-of-sines", (1e-3, 2e-3), (5.0,), ()),
+    ("sum-of-sines", (1e-3,), (5.0, 6.0), ()),
+    ("sum-of-sines", (1e-3, 2e-3), (5.0, 6.0), (0.0,)),
+    ("sum-of-sines", (), (), ()),
+    ("linear-sweep", (1e-3, 2e-3), (3.0, 8.0), ()),
+    ("linear-sweep", (1e-3,), (3.0, 8.0), (0.0, 1.0)),
+])
+def test_excitation_rejects_tones_that_do_not_line_up(kind, amplitudes,
+                                                      frequencies, phases):
+    with pytest.raises(ValueError, match=f"{kind} needs"):
+        oracle.Excitation(kind=kind, amplitudes=amplitudes,
+                          frequencies=frequencies, duration=10.0, phases=phases)
+
+
 @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf])
 def test_excitation_rejects_non_finite_duration(duration):
     with pytest.raises(ValueError, match="duration must be positive and finite"):

@@ -160,8 +160,7 @@ class TestSeriesEstimation:
         g = table.grids[0]
         p_level = 0.5 * (g.p_min + g.p_max)
         trace = estimator.PressureTrace(dt=ctx.dt,
-                                        samples=np.full(512, p_level),
-                                        t0_temperature=30.0)
+                                        samples=np.full(512, p_level))
         series = wheel.estimate_wheel_load_series(trace, table, truck.linkage,
                                                   omega=g.omega)
         k = 2  # earlier samples carry difference start-up values
