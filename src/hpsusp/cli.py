@@ -126,7 +126,7 @@ def cmd_estimate(args) -> int:
     if args.mode == "iterative" and (args.table or args.omega):
         raise UsageError("--table and --omega apply to --mode lookup only")
     cfg = _load_config(args)
-    trace, truth = io.read_trace_csv(args.trace)
+    trace, truth = io.read_trace_csv(args.trace, truth_columns=("f_out_truth_n",))
     truth = truth.get("f_out_truth_n")  # the one column compared below
     if args.mode == "lookup":
         table = lookup.load_table(args.table, cfg.suspension)
@@ -159,7 +159,7 @@ def cmd_build_table(args) -> int:
 
 def cmd_wheel_load(args) -> int:
     cfg = _load_config(args)
-    trace, truth = io.read_trace_csv(args.trace)
+    trace, truth = io.read_trace_csv(args.trace, truth_columns=("f_tire_truth_n",))
     truth = truth.get("f_tire_truth_n")  # the one column compared below
     table = lookup.load_table(args.table, cfg.suspension)
     series = wheel.estimate_wheel_load_series(trace, table, cfg.linkage,

@@ -68,9 +68,15 @@ class SuspensionConfig:
 
     def digest(self) -> int:
         """Stable 64-bit digest of all physical parameters."""
-        # Imported here, not at module level: hashlib maps OpenSSL's libcrypto
-        # (~3.5 MB RSS), which only the table-handling commands need.
-        import hashlib
+        # CPython's own SHA-256, as `random` takes its SHA-512: hashlib maps
+        # OpenSSL's libcrypto (~3.5 MB RSS) to hash this one short string.
+        try:
+            from _sha2 import sha256  # CPython 3.12+
+        except ImportError:
+            try:
+                from _sha256 import sha256  # CPython 3.10-3.11
+            except ImportError:
+                from hashlib import sha256
 
         parts = []
         for obj in (self.fluid, self.geom, self.charge, self.friction):
@@ -78,7 +84,7 @@ class SuspensionConfig:
                 parts.append(f"{f.name}={getattr(obj, f.name)!r}")
         parts.append(f"use_alg1_friction={self.use_alg1_friction!r}")
         blob = ";".join(parts).encode()
-        return int.from_bytes(hashlib.sha256(blob).digest()[:8], "little")
+        return int.from_bytes(sha256(blob).digest()[:8], "little")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ __all__ = [
 _FMT = "%.17g"
 _CHUNK_ROWS = 8192      # rows computed at once, and worth a writer process of their own
 _FORMAT_ROWS = 256      # rows per %-format call; bounds the text held at once
-_READ_ROWS = 65536      # data rows per np.loadtxt call; bounds the parse buffer
+_READ_ROWS = 8192       # data rows per np.loadtxt call; bounds the parse buffer
 
 TRACE_BASE_COLUMNS = ("t_s", "p1_pa")
 TRACE_TRUTH_COLUMNS = ("f_out_truth_n", "v_truth_mps", "h_truth_m")
@@ -157,22 +157,23 @@ def write_trace_csv(path, trace: OracleTrace) -> None:
     _write_rows(path, header, cols)
 
 
-def read_trace_csv(path):
+def read_trace_csv(path, truth_columns=None):
     """Read a trace CSV; returns (PressureTrace, truth-column dict).
 
     The sampling period is inferred from the time column and must be
     uniform to 1 ppm; every pressure sample must be positive and finite.
     Numbers are parsed by numpy's tokenizer, so Python-only spellings
-    such as ``1_000`` are rejected. Every column is its own contiguous
-    array, so a caller that drops a truth column frees its memory.
+    such as ``1_000`` are rejected. Every field of every row is parsed and
+    checked, but of the truth columns only those named in `truth_columns`
+    (default: all) are kept, each its own contiguous array.
     """
     try:
-        return _read_trace_csv(path)
+        return _read_trace_csv(path, truth_columns)
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _read_trace_csv(path):
+def _read_trace_csv(path, truth_columns):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -183,7 +184,9 @@ def _read_trace_csv(path):
             raise CsvFormatError(
                 f"{path}: expected leading columns {TRACE_BASE_COLUMNS}, "
                 f"got {tuple(header[:2])}")
-        columns = _read_columns(path, fh, len(header))
+        keep = [0, 1] + [k for k in range(2, len(header))
+                         if truth_columns is None or header[k] in truth_columns]
+        columns = _read_columns(path, fh, len(header), keep)
     t, p = columns[:2]
     if t.size < 2:
         raise CsvFormatError(f"{path}: need at least two data rows")
@@ -191,27 +194,41 @@ def _read_trace_csv(path):
         _raise_row_error(path, len(header))
     # The check is order-free, so the median may partition the steps in place.
     steps = np.diff(t)
-    dt = float(np.median(steps, overwrite_input=True))
+    dt = _median(steps)
     steps -= dt
     if not dt > 0.0 or not np.all(np.abs(steps, out=steps) <= 1e-6 * dt):
         raise CsvFormatError(f"{path}: time column is not uniformly sampled")
     del steps
     trace = PressureTrace(dt=dt, samples=p)
-    return trace, dict(zip(header[2:], columns[2:]))
+    return trace, {header[k]: column for k, column in zip(keep[2:], columns[2:])}
 
 
-def _read_columns(path, fh, n_fields: int) -> list:
-    """The data rows left in `fh`, one contiguous float array per field.
+def _median(x: np.ndarray) -> float:
+    """np.median of a 1-D float array, partitioning it in place.
 
-    Each column is allocated once, for an upper bound on the rows (one
-    per line ending), and filled _READ_ROWS rows per np.loadtxt call; its
-    pages past the last row are never written, so they stay out of the
-    resident set.
+    The same arithmetic: the middle element, or (a + b) / 2.0 of the two
+    middle ones. np.median imports numpy.ma on its first call (~1.7 MB RSS).
+    """
+    k = x.size // 2
+    if x.size % 2:
+        x.partition(k)
+        return float(x[k])
+    x.partition((k - 1, k))
+    return float((x[k - 1] + x[k]) / 2.0)
+
+
+def _read_columns(path, fh, n_fields: int, keep: list) -> list:
+    """The data rows left in `fh`: fields `keep`, one contiguous float array each.
+
+    Every field is parsed, _READ_ROWS rows per np.loadtxt call. Each kept
+    column is allocated once, for an upper bound on the rows (one per
+    line ending); its pages past the last row are never written, so they
+    stay out of the resident set.
     """
     with open(path, "rb") as raw:  # lines end in \n, \r\n or \r
         bound = 1 + sum(buf.count(b"\n") + buf.count(b"\r")
                         for buf in iter(lambda: raw.read(1 << 20), b""))
-    columns = [np.empty(bound) for _ in range(n_fields)]
+    columns = [np.empty(bound) for _ in keep]
     n = 0
     with warnings.catch_warnings():
         # blank lines are skipped and an empty read ends the data; the
@@ -226,14 +243,16 @@ def _read_columns(path, fh, n_fields: int) -> list:
                                    quotechar='"', max_rows=_READ_ROWS)
             except ValueError as exc:
                 _raise_row_error(path, n_fields, exc)
-            if len(block) and block.shape[1] != n_fields:  # loadtxt only checks rows agree
+            m = len(block)
+            if m and block.shape[1] != n_fields:  # loadtxt only checks rows agree
                 _raise_row_error(path, n_fields)
-            if n + len(block) > bound:
+            if n + m > bound:
                 raise CsvFormatError(f"{path}: file grew while it was read")
-            for column, values in zip(columns, block.T if len(block) else ()):
-                column[n:n + len(block)] = values
-            n += len(block)
-            if len(block) < _READ_ROWS:
+            if m:
+                for column, k in zip(columns, keep):
+                    column[n:n + m] = block[:, k]
+            n += m
+            if m < _READ_ROWS:
                 return [column[:n] for column in columns]
 
 
@@ -308,7 +327,8 @@ def write_wheel_load_csv(path, dt: float, series: WheelLoadSeries) -> None:
 
 
 def write_lookup_csv(path, trace: PressureTrace, est: SeriesEstimate) -> None:
-    """Lookup-path output: the (f_out, v, h) triplet per trace sample."""
-    _write_row_blocks(path, ["t_s", "f_out_n", "v_mps", "h_m"], trace.n,
-                      lambda lo, hi: [_times(trace.dt, lo, hi), est.f_out[lo:hi],
-                                      est.v[lo:hi], est.h[lo:hi]])
+    """Lookup-path output; each writer queries the table for its rows."""
+    def rows(lo, hi):
+        r = est.rows(lo, hi)
+        return [_times(trace.dt, lo, hi), r.f_out, r.v, r.h]
+    _write_row_blocks(path, ["t_s", "f_out_n", "v_mps", "h_m"], trace.n, rows)

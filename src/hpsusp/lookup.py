@@ -21,6 +21,7 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .config import SuspensionConfig, TableBuildSettings
 __all__ = [
     "LookupGrid",
     "LookupTable",
+    "LookupRows",
     "QueryStats",
     "SeriesEstimate",
     "TableFormatError",
@@ -140,15 +142,81 @@ class QueryStats:
     extrapolated: int = 0            # queries landing outside the swept region
 
 
+class LookupRows(NamedTuple):
+    """The lookup estimate's channels for a range of rows."""
+
+    f_out: np.ndarray
+    v: np.ndarray
+    h: np.ndarray
+
+
 @dataclass
 class SeriesEstimate:
-    """Lookup-path reconstruction of a whole pressure trace."""
+    """Lookup-path reconstruction of a pressure trace, its rows on demand.
 
-    v: np.ndarray
-    f_out: np.ndarray
-    h: np.ndarray
-    omega: np.ndarray                # per-sample blend frequency, rad/s
+    Each sample is queried at the blend frequency of its run; the runs are
+    held as their first rows and frequencies. (f_out, v, h) are computed
+    for a range of rows (`rows`), so no whole-trace copy of them need
+    exist; `f_out`, `v`, `h` and the per-sample `omega` are built on every
+    access, _BLOCK_ROWS rows at a time.
+    """
+
+    p1: np.ndarray
+    table: LookupTable
+    run_starts: np.ndarray           # first row of each run of equal blend frequency
+    run_omegas: np.ndarray           # its blend frequency, rad/s
     stats: QueryStats = field(default_factory=QueryStats)
+
+    @property
+    def n(self) -> int:
+        return self.p1.size
+
+    @property
+    def omega(self) -> np.ndarray:
+        """Per-sample blend frequency, rad/s."""
+        return np.repeat(self.run_omegas, np.diff(self.run_starts, append=self.n))
+
+    @property
+    def f_out(self) -> np.ndarray:
+        return self._column(0)
+
+    @property
+    def v(self) -> np.ndarray:
+        return self._column(1)
+
+    @property
+    def h(self) -> np.ndarray:
+        return self._column(2)
+
+    def _column(self, k: int) -> np.ndarray:
+        out = np.empty(self.n)
+        for lo in range(0, self.n, _BLOCK_ROWS):
+            out[lo:lo + _BLOCK_ROWS] = self.rows(lo, lo + _BLOCK_ROWS)[k]
+        return out
+
+    def _blocks(self, lo: int, hi: int):
+        """(a, b, omega) covering rows lo..hi-1: cut at run starts, _BLOCK_ROWS at most."""
+        starts = self.run_starts
+        first = max(int(np.searchsorted(starts, lo, side="right")) - 1, 0)
+        stop = int(np.searchsorted(starts, hi))     # runs first..stop-1 meet the rows
+        ends = starts[first + 1:stop + 1].tolist() + [self.n]
+        for start, end, omega in zip(starts[first:stop].tolist(), ends,
+                                     self.run_omegas[first:stop].tolist()):
+            for a in range(max(start, lo), min(end, hi), _BLOCK_ROWS):
+                yield a, min(a + _BLOCK_ROWS, end, hi), omega
+
+    def rows(self, lo: int = 0, hi: int | None = None) -> LookupRows:
+        """(f_out, v, h) of rows lo..hi-1; dP is read from the row before lo.
+
+        Every query is elementwise, so each value equals what a whole-trace
+        evaluation gives.
+        """
+        hi = self.n if hi is None else min(hi, self.n)
+        out = np.empty((max(hi - lo, 0), 3))
+        for a, b, omega in self._blocks(lo, hi):
+            dp = core.differentiate(self.p1, 1.0, a, b)
+            out[a - lo:b - lo] = _interpolate(self.table, omega, self.p1[a:b], dp)
+        return LookupRows(f_out=out[:, 0], v=out[:, 1], h=out[:, 2])
 
 
 def _amplitude_schedule(freq_hz: float, scale: float) -> float:
@@ -283,18 +351,16 @@ def _blend(bracket: tuple, nodes):
     return (1.0 - w) * cells + w * hi.cells.reshape(-1, 3).take(nodes, axis=0)
 
 
-def _interpolate(table: LookupTable, omega: float, p, dp,
-                 stats: QueryStats | None = None):
-    """Clamped bilinear interpolation at blend frequency omega.
+def _coords(table: LookupTable, near: LookupGrid, p, dp,
+            stats: QueryStats | None = None) -> tuple:
+    """Clamped fractional grid coordinates (x, y) of queries at (p, dp).
 
-    Only the four corner cells of each query are blended between the
-    bracketing grids; the axes are grid 0's, which every grid shares.
-    With stats given, clamped queries are counted, and so are queries
-    whose nearest node (after clamping) lies outside the nearest grid's
-    swept region.
+    The axes are grid 0's, which every grid shares. With stats given,
+    clamped queries are counted, and so are queries whose nearest node
+    (after clamping) lies outside the swept region of `near`, the grid
+    nearest their blend frequency.
     """
-    bracket = _bracket(table, omega)
-    near, grid0 = bracket[3], table.grids[0]
+    grid0 = table.grids[0]
     p = np.atleast_1d(np.asarray(p, dtype=float))
     dp = np.atleast_1d(np.asarray(dp, dtype=float))
     x = (p - grid0.p_min) / (grid0.p_max - grid0.p_min) * (N_P - 1)
@@ -309,7 +375,19 @@ def _interpolate(table: LookupTable, omega: float, p, dp,
         # nearest node, rounding half to even as round() does
         node = np.rint(x).astype(np.intp) * N_DP + np.rint(y).astype(np.intp)
         stats.extrapolated += p.size - int(np.count_nonzero(near.filled.ravel()[node]))
-        del node  # freed before the corner products, which set the peak
+    return x, y
+
+
+def _interpolate(table: LookupTable, omega: float, p, dp,
+                 stats: QueryStats | None = None):
+    """Clamped bilinear interpolation at blend frequency omega.
+
+    Only the four corner cells of each query are blended between the
+    bracketing grids. With stats given, the queries are counted (see
+    _coords).
+    """
+    bracket = _bracket(table, omega)
+    x, y = _coords(table, bracket[3], p, dp, stats)
     i0 = np.minimum(x.astype(np.intp), N_P - 2)
     j0 = np.minimum(y.astype(np.intp), N_DP - 2)
     fx = (x - i0)[:, None]
@@ -328,58 +406,52 @@ def query(table: LookupTable, p: float, dp: float, omega: float,
     return f_out, v, h
 
 
-def _tracked_omega(samples: np.ndarray, dt: float) -> np.ndarray:
-    """Per-sample blend frequency (rad/s) from 1 s windows hopped every 0.5 s.
+def _tracked_runs(samples: np.ndarray, dt: float) -> tuple:
+    """Runs of equal blend frequency from 1 s windows hopped every 0.5 s.
 
-    Each sample takes the estimate of the window whose centre is nearest,
-    the earlier window on a tie. Window j spans [s_j, s_j + win), so sample
-    i belongs to window j rather than j + 1 iff 2 i <= s_j + s_{j+1} + win.
+    Each sample takes the estimate (rad/s) of the window whose centre is
+    nearest, the earlier window on a tie. Window j spans [s_j, s_j + win),
+    so sample i belongs to window j rather than j + 1 iff
+    2 i <= s_j + s_{j+1} + win. Returns (first rows, blend frequencies).
     """
     win = max(int(round(1.0 / dt)), estimator.MIN_TRACE_LEN)
     starts, win, freqs = estimator.window_peak_frequencies(
         samples, dt, win, max(win // 2, 1))
-    last = (starts[:-1] + starts[1:] + win) // 2
-    counts = np.diff(last, prepend=-1, append=samples.size - 1)
-    return np.repeat(2.0 * np.pi * freqs, counts)
+    first = np.concatenate(([0], (starts[:-1] + starts[1:] + win) // 2 + 1))
+    omegas = 2.0 * np.pi * freqs
+    new = np.concatenate(([True], omegas[1:] != omegas[:-1]))
+    return first[new], omegas[new]
 
 
 def estimate_series(trace: estimator.PressureTrace, table: LookupTable,
                     omega: float | str = "auto") -> SeriesEstimate:
-    """Reconstruct (v, f_out, h) for a whole trace through the table.
+    """Lookup estimate of a whole trace, its (f_out, v, h) rows on demand.
 
     omega may be a fixed blend frequency in rad/s or "auto", which tracks
     the dominant frequency over one-second windows hopped every half
-    second and assigns each sample the nearest window's estimate. Each run
-    of equal blend frequency is queried in trace order, _BLOCK_ROWS
-    samples at a time, so both modes run in linear time and beyond the
-    outputs (32 B per sample) only the boundaries of the runs grow with
-    the trace.
+    second and assigns each sample the nearest window's estimate. One pass
+    over the runs of equal blend frequency, in trace order and
+    _BLOCK_ROWS samples at a time, counts the queries' clamping into
+    `stats`; beyond the trace only the run boundaries grow with it.
     """
     if abs(trace.dt - table.dt) > 1e-9:
         raise TimeBaseError(
             f"trace dt {trace.dt!r} does not match table dt {table.dt!r}")
     p1 = trace.samples
-    stats = QueryStats()
     if isinstance(omega, str):
         if omega != "auto":
             raise ValueError("omega must be a float or 'auto'")
-        omega_series = _tracked_omega(p1, trace.dt)
+        starts, omegas = _tracked_runs(p1, trace.dt)
     else:
         if not np.isfinite(omega):
             raise ValueError("omega must be finite")
-        omega_series = np.full(p1.size, float(omega))
+        starts, omegas = np.zeros(1, dtype=np.intp), np.array([float(omega)])
 
-    out = np.empty((p1.size, 3))
-    ends = (np.flatnonzero(omega_series[1:] != omega_series[:-1]) + 1).tolist() + [p1.size]
-    for start, end in zip([0] + ends[:-1], ends):     # runs of equal omega
-        omega_run = float(omega_series[start])
-        for a in range(start, end, _BLOCK_ROWS):
-            b = min(a + _BLOCK_ROWS, end)
-            dp = core.differentiate(p1, 1.0, a, b)
-            out[a:b] = _interpolate(table, omega_run, p1[a:b], dp, stats)
-
-    return SeriesEstimate(v=out[:, 1], f_out=out[:, 0], h=out[:, 2],
-                          omega=omega_series, stats=stats)
+    est = SeriesEstimate(p1=p1, table=table, run_starts=starts, run_omegas=omegas)
+    for a, b, omega_run in est._blocks(0, est.n):
+        dp = core.differentiate(p1, 1.0, a, b)
+        _coords(table, _bracket(table, omega_run)[3], p1[a:b], dp, est.stats)
+    return est
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +657,7 @@ def benchmark(table: LookupTable, cfg: SuspensionConfig,
         estimator.run(trace, cfg, freq_override=freq_hz).rows()
         t_iter_batch.append(time.perf_counter() - start)
         start = time.perf_counter()
-        estimate_series(trace, table, omega=omega)
+        estimate_series(trace, table, omega=omega).rows()
         t_look_batch.append(time.perf_counter() - start)
     us = lambda t: float(np.median(t)) / n * 1e6
     return {

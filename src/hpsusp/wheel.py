@@ -140,7 +140,7 @@ class WheelLoadSeries:
 
     @property
     def n(self) -> int:
-        return self.est.f_out.size
+        return self.est.n
 
     @property
     def stats(self) -> lookup.QueryStats:
@@ -155,16 +155,21 @@ class WheelLoadSeries:
         return f
 
     def rows(self, lo: int = 0, hi: int | None = None) -> WheelLoadRows:
-        """The chain for rows lo..hi-1, from those rows and the one before.
+        """The chain for rows lo..hi-1, from the lookup rows max(lo - 1, 0)..hi-1.
 
-        a_sus is the backward difference of v, and a_sus[0] = a_sus[1];
-        each value equals what a whole-trace evaluation gives.
+        a_sus is the backward difference of v, so a row needs the one
+        before; a_sus[0] = a_sus[1] (read even when hi = 1), so each value
+        equals what a whole-trace evaluation gives.
         """
         hi = self.n if hi is None else min(hi, self.n)
-        est, link = self.est, self.link
-        a_sus = core.differentiate(est.v, self.dt, lo, hi)
-        h_sus = est.h[lo:hi] - self.h_ref
-        v, f_out = est.v[lo:hi], est.f_out[lo:hi]
+        link = self.link
+        first = max(lo - 1, 0)
+        est = self.est.rows(first, max(hi, 2))
+        # the row before lo is context only: its own difference needs an earlier row
+        a_sus = core.differentiate(est.v, self.dt)
+        s = slice(lo - first, hi - first)
+        a_sus, v, f_out = a_sus[s], est.v[s], est.f_out[s]
+        h_sus = est.h[s] - self.h_ref
         theta, beta = lower_arm_angle(h_sus, link)
         i_sus = suspension_ratio(theta, beta, link)
         z_ddot = tire_acceleration(theta, beta, v, a_sus, link)
@@ -186,8 +191,9 @@ def estimate_wheel_load_series(trace: PressureTrace, table: lookup.LookupTable,
     looked-up h (static operating point), so theta measures deviation from
     static equilibrium.
 
-    One pass over the rows, _BLOCK_ROWS at a time, counts liftoff and
-    raises any GeometrySingularityError before the caller writes output.
+    The whole-trace h is built for its mean and then freed. One pass over
+    the rows, _BLOCK_ROWS at a time, counts liftoff and raises any
+    GeometrySingularityError before the caller writes output.
     """
     est = lookup.estimate_series(trace, table, omega=omega)
     series = WheelLoadSeries(est=est, h_ref=est.h.mean(), dt=trace.dt, link=link)

@@ -1,8 +1,8 @@
 """Row blocks: no output depends on the block, batch or read-chunk sizes.
 
-The wheel-load path reads its trace in chunks, queries the table in row
-blocks, batches its window FFTs and computes the kinematic chain per row
-block inside the CSV writers; the iterative path computes its force chain
+The wheel-load path reads its trace in chunks, batches its window FFTs,
+and queries the table and computes the kinematic chain per row block
+inside the CSV writers; the iterative path computes its force chain
 per row block, inside the CSV writers too. Each size is patched, all at
 once, to sizes around the trace length and the blend groups, and every
 output is compared with the unpatched run, where the trace is one block.
@@ -72,6 +72,7 @@ def _cli_outputs(d, tag: str) -> dict:
         "wheel-auto": ["wheel-load", "--omega", "auto"],
         "wheel-fixed": ["wheel-load", "--omega", "40"],
         "lookup": ["estimate", "--mode", "lookup", "--omega", "auto"],
+        "lookup-fixed": ["estimate", "--mode", "lookup", "--omega", "40"],
     }
     out = {}
     for name, argv in calls.items():
@@ -108,6 +109,40 @@ def test_series_estimate_and_stats_equal(case, monkeypatch, size, omega):
         assert np.array_equal(getattr(est, name), getattr(ref, name)), name
     assert est.stats == ref.stats
     assert est.stats.n_queries == trace.n
+
+
+def _row_ranges(est, block: int) -> list:
+    """Row ranges that start, end or cross a run start or a block boundary."""
+    n = est.n
+    ranges = [(0, 1), (0, 2), (n - 1, n), (0, n)]
+    for edge in est.run_starts[1:4].tolist() + [block, 2 * block]:
+        for lo, hi in ((edge - 1, edge + 1), (edge, edge + 1), (edge - 3, edge + block + 2)):
+            if 0 <= lo < hi <= n:
+                ranges.append((lo, hi))
+    return ranges
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("omega", ["auto", 2 * math.pi * 5.5])
+def test_row_ranges_equal_whole_trace(case, monkeypatch, truck, size, omega):
+    trace, table = case["trace"], case["table"]
+    ref = wheel.estimate_wheel_load_series(trace, table, truck.linkage, omega=omega)
+    ref_est, ref_rows = ref.est.rows(), ref.rows()
+    block = _size(case, size)
+    _patch(monkeypatch, block)
+    series = wheel.estimate_wheel_load_series(trace, table, truck.linkage, omega=omega)
+    ranges = _row_ranges(series.est, block)
+    starts = series.est.run_starts[1:]
+    assert (omega == "auto") == any(lo < s < hi for lo, hi in ranges for s in starts)
+    for lo, hi in ranges:
+        got = series.est.rows(lo, hi)
+        for name in ("f_out", "v", "h"):
+            assert np.array_equal(getattr(got, name),
+                                  getattr(ref_est, name)[lo:hi]), (lo, hi, name)
+        got = series.rows(lo, hi)
+        for name in got._fields:
+            assert np.array_equal(getattr(got, name),
+                                  getattr(ref_rows, name)[lo:hi]), (lo, hi, name)
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -162,6 +197,36 @@ def test_iterative_memory_per_added_sample(tmp_path):
         finally:
             tracemalloc.stop()
     assert (peaks[108001] - peaks[36001]) / (108001 - 36001) < 24
+
+
+def test_wheel_load_memory_per_added_sample(case, truck, tmp_path):
+    # The lookup rows and the kinematic chain are computed per row block,
+    # so the one whole-trace array built is h, for the travel reference's
+    # mean: 8 B per sample. At these lengths the writer's blocks (~1.8 MB)
+    # set the peak at both, and the growth measured is ~0 (-1.7 B per added
+    # sample); 5.3 between 36 001 and 360 001 samples, where h shows. 30-32
+    # when the lookup estimate held its whole-trace outputs. 12 leaves 50 %
+    # over h.
+    cfg = truck.suspension
+    n_eff = core.effective_polytropic_index(2 * math.pi * 5.5, cfg.charge, cfg.fluid)
+    offset = oracle.static_gas_offset(cfg, truck.table.static_force_n, n_eff)
+    peaks = {}
+    for n in (36001, 108001):
+        exc = oracle.Excitation(kind="linear-sweep", amplitudes=(3.0e-3,),
+                                frequencies=(3.0, 8.0), duration=(n - 1) * DT,
+                                offset=offset)
+        trace = oracle.simulate_suspension(exc, cfg, DT).to_pressure_trace()
+        assert trace.n == n
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            series = wheel.estimate_wheel_load_series(trace, case["table"],
+                                                      truck.linkage)
+            io.write_wheel_load_csv(tmp_path / "wheel.csv", DT, series)
+            peaks[n] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert (peaks[108001] - peaks[36001]) / (108001 - 36001) < 12
 
 
 def _read_error(path) -> str:

@@ -202,32 +202,55 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-_OPENSSL_PROBE = """
+_MODULE_PROBE = """
 import sys
 from hpsusp import cli, config
 out = sys.argv[1]
-seen = ["_hashlib" in sys.modules]
+
+def loaded():
+    return ["_hashlib" in sys.modules, "numpy.ma" in sys.modules]
+
+seen = [loaded()]
 for argv in (["simulate", "--quarter-car", "--preset", "mining-truck",
               "--freq", "8", "--amp", "0.002", "--out", out + "/road.csv"],
              ["simulate", "--freq", "5", "--amp", "0.005",
               "--out", out + "/trace.csv"],
              ["estimate", "--mode", "iterative", "--trace", out + "/trace.csv",
-              "--out", out + "/breakdown.csv"]):
+              "--out", out + "/breakdown.csv"],
+             ["build-table", "--out", out + "/bench.hplt"],
+             ["wheel-load", "--trace", out + "/trace.csv",
+              "--table", out + "/bench.hplt", "--out", out + "/wheel.csv"],
+             ["estimate", "--mode", "lookup", "--trace", out + "/trace.csv",
+              "--table", out + "/bench.hplt", "--out", out + "/lookup.csv"]):
     assert cli.main(argv) == 0, argv
-    seen.append("_hashlib" in sys.modules)
+    seen.append(loaded())
 config.preset("bench-prototype").suspension.digest()
-seen.append("_hashlib" in sys.modules)
+seen.append(loaded())
 print(seen)
 """
 
 
-def test_commands_without_a_digest_load_no_openssl(tmp_path):
-    # hashlib maps OpenSSL's libcrypto (~3.5 MB RSS); only the digest needs it.
+@pytest.fixture(scope="module")
+def modules_loaded(tmp_path_factory):
+    """[_hashlib loaded, numpy.ma loaded] after import, each command, then digest()."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", _OPENSSL_PROBE, str(tmp_path)],
+    out = subprocess.run([sys.executable, "-c", _MODULE_PROBE,
+                          str(tmp_path_factory.mktemp("probe"))],
                          env=env, capture_output=True, text=True, check=True)
-    # import, quarter-car simulate, simulate, iterative estimate; then digest
-    assert out.stdout.splitlines()[-1] == str([False] * 4 + [True])
+    return ast.literal_eval(out.stdout.splitlines()[-1])
+
+
+def test_commands_without_a_digest_load_no_openssl(modules_loaded):
+    # hashlib maps OpenSSL's libcrypto (~3.5 MB RSS); the digest uses
+    # CPython's own SHA-256, so no command loads it.
+    # import, quarter-car simulate, simulate, iterative estimate,
+    # build-table, wheel-load, lookup estimate; then digest
+    assert [openssl for openssl, _ in modules_loaded] == [False] * 8
+
+
+def test_trace_commands_load_no_numpy_ma(modules_loaded):
+    # np.median imports numpy.ma (~1.7 MB RSS) on its first call
+    assert [ma for _, ma in modules_loaded] == [False] * 8
 
 
 def test_package_imports_no_scipy():

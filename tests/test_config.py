@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import re
+import sys
 
 import pytest
 
@@ -70,6 +72,24 @@ class TestDigest:
     ])
     def test_known_answer(self, name, expected):
         assert config.preset(name).suspension.digest() == expected
+
+    @pytest.mark.parametrize("name", config.PRESET_NAMES)
+    def test_equals_hashlib_sha256(self, monkeypatch, name):
+        # With CPython's own SHA-256 modules hidden, digest() falls back to
+        # hashlib; both hash the same blob to the same value.
+        cfg = config.preset(name).suspension
+        lean = cfg.digest()
+        sha256, blobs = hashlib.sha256, []
+
+        def spy(blob):
+            blobs.append(blob)
+            return sha256(blob)
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        monkeypatch.setattr(hashlib, "sha256", spy)
+        assert cfg.digest() == lean
+        assert len(blobs) == 1
+        assert int.from_bytes(sha256(blobs[0]).digest()[:8], "little") == lean
 
 
 class TestConfigFile:

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hpsusp import estimator, io, lookup, oracle, wheel
+from hpsusp import cli, estimator, io, lookup, oracle, wheel
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +226,52 @@ class TestLoadtxtIngest:
                            "t_s,p1_pa,h_truth_m\n0,800000\n0.01,800100\n")
         with pytest.raises(io.CsvFormatError, match=r"x\.csv:2: expected 3 fields"):
             io.read_trace_csv(path)
+
+    @pytest.mark.parametrize("bad, message", [("oops", "non-numeric field"),
+                                              ("1_000", "non-numeric field"),
+                                              (None, "expected 5 fields")])
+    def test_dropped_column_is_still_checked(self, tmp_path, capsys, lines, bad,
+                                             message):
+        # row 40 is bad in v_truth_mps, a column neither command keeps
+        fields = lines[40].split(b",")
+        assert len(fields) == 5
+        fields[3:4] = [] if bad is None else [bad.encode()]
+        lines[40] = b",".join(fields)
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+        expected = rf"x\.csv:41: {message}"
+        for keep in (None, ("f_out_truth_n",), ("f_tire_truth_n",), ()):
+            with pytest.raises(io.CsvFormatError, match=expected):
+                io.read_trace_csv(path, truth_columns=keep)
+        for argv in (["estimate"], ["wheel-load", "--table", "unread.hplt"]):
+            code = cli.main(argv + ["--trace", str(path),
+                                    "--out", str(tmp_path / "out.csv")])
+            assert code == 3
+            assert re.search(expected, capsys.readouterr().err)
+
+    def test_keeps_only_the_named_truth_columns(self, tmp_path, lines):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"\r\n".join(lines))
+        ref, truth = io.read_trace_csv(path)
+        for keep in (("v_truth_mps",), ("h_truth_m", "f_tire_truth_n"), ()):
+            back, kept = io.read_trace_csv(path, truth_columns=keep)
+            assert sorted(kept) == sorted(set(keep) & set(truth))
+            for name in kept:
+                assert np.array_equal(kept[name], truth[name])
+            assert back.dt == ref.dt
+            assert np.array_equal(back.samples, ref.samples)
+
+    @pytest.mark.parametrize("n_steps", [30, 31, 1000, 1001])
+    def test_time_step_is_median_of_steps(self, tmp_path, n_steps):
+        # jittered steps: for an even count dt is the mean of the two middle ones
+        rng = np.random.default_rng(n_steps)
+        steps = (1.0 + 1e-7 * rng.standard_normal(n_steps)) / 360.0
+        t = np.concatenate(([0.0], np.cumsum(steps)))
+        path = tmp_path / "x.csv"
+        io._write_rows(path, ["t_s", "p1_pa"], [t, np.full(t.size, 8.0e5)])
+        dt = float(np.median(np.diff(t)))
+        assert io.read_trace_csv(path)[0].dt == dt
+        assert (dt in np.diff(t)) == (n_steps % 2 == 1)
 
     @pytest.mark.parametrize("text", ["t_s,p1_pa\n", "t_s,p1_pa\n\n\n"])
     def test_header_only_raises_without_warning(self, tmp_path, text):
