@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 
 from . import config, estimator, io, lookup, metrics, oracle, validate, wheel
 
@@ -131,15 +132,14 @@ def cmd_estimate(args) -> int:
     if args.mode == "lookup":
         table = lookup.load_table(args.table, cfg.suspension)
         est = lookup.estimate_series(trace, table, omega=args.omega or "auto")
-        io.write_lookup_csv(args.out, trace, est)
+        sse = io.write_lookup_csv(args.out, trace, est, truth)
     else:
         est = estimator.run(trace, cfg.suspension)
-        io.write_breakdown_csv(args.out, trace, est)
+        sse = io.write_breakdown_csv(args.out, trace, est, truth)
     print(f"wrote {args.out}")
     if truth is not None:
-        f_out = est.f_out
-        rel = metrics.rel_rmse(f_out, truth)
-        r2 = metrics.r_squared(f_out, truth)
+        rel = metrics.rel_rmse_sse(sse, truth)
+        r2 = metrics.r_squared_sse(sse, truth)
         print(f"vs embedded truth: rel RMSE {rel:.3%}, R2 {r2:.4f}")
     return EXIT_OK
 
@@ -164,11 +164,13 @@ def cmd_wheel_load(args) -> int:
     table = lookup.load_table(args.table, cfg.suspension)
     series = wheel.estimate_wheel_load_series(trace, table, cfg.linkage,
                                               omega=args.omega)
-    io.write_wheel_load_csv(args.out, trace.dt, series)
-    print(f"wrote {args.out}: {series.n} samples, "
-          f"{series.liftoff_count} liftoff sample(s)")
+    count, sse = io.write_wheel_load_csv(args.out, trace.dt, series, truth)
+    series.liftoff_count = count
+    if count:
+        warnings.warn(f"wheel load negative at {count} sample(s): liftoff", wheel.WheelLiftoffWarning)
+    print(f"wrote {args.out}: {series.n} samples, {count} liftoff sample(s)")
     if truth is not None:
-        rel = metrics.rel_rmse_mean(series.f_tire, truth)
+        rel = metrics.rel_rmse_mean_sse(sse, truth)
         print(f"vs embedded truth: rel RMSE {rel:.3%} of mean load")
     return EXIT_OK
 
@@ -277,7 +279,8 @@ def main(argv=None) -> int:
     except config.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (io.CsvFormatError, lookup.TableFormatError, FileNotFoundError) as exc:
+    except (io.CsvFormatError, lookup.TableFormatError, FileNotFoundError,
+            IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (oracle.StrokeError, oracle.InstabilityError,

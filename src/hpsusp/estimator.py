@@ -28,7 +28,7 @@ __all__ = [
 
 MIN_TRACE_LEN = 16
 _FFT_SAMPLES = 65536     # window samples per batched FFT; bounds the window stack
-_BLOCK_ROWS = 8192       # rows per chain evaluation when a whole-trace channel is built
+_BLOCK_ROWS = 8192       # rows per chain evaluation when cavitation is counted
 
 
 class NoDominantFrequencyError(ValueError):
@@ -79,8 +79,8 @@ class ForceBreakdown:
     """Iterative estimate of a trace: its frequency and index, channels on demand.
 
     The chain is computed for a range of rows (`rows`), so no whole-trace
-    copy of its channels need exist. `f_out` and `cavitation_count` are
-    built on every access, _BLOCK_ROWS rows at a time.
+    copy of its channels need exist. `cavitation_count` is counted on
+    every access, _BLOCK_ROWS rows at a time.
     """
 
     trace: PressureTrace
@@ -88,14 +88,6 @@ class ForceBreakdown:
     n_eff: float
     f_peak: float
     flow_inertia: bool = True
-
-    @property
-    def f_out(self) -> np.ndarray:
-        """Whole-trace output force, computed per row block."""
-        out = np.empty(self.trace.n)
-        for lo in range(0, out.size, _BLOCK_ROWS):
-            out[lo:lo + _BLOCK_ROWS] = self.rows(lo, lo + _BLOCK_ROWS).f_out
-        return out
 
     @property
     def cavitation_count(self) -> int:

@@ -14,7 +14,8 @@ import warnings
 
 import numpy as np
 
-from .estimator import ForceBreakdown, PressureTrace
+from . import metrics
+from .estimator import MIN_TRACE_LEN, ForceBreakdown, PressureTrace
 from .lookup import SeriesEstimate
 from .oracle import OracleTrace
 from .wheel import WheelLoadSeries
@@ -51,54 +52,56 @@ def _cpu_count() -> int:
 
 
 def _format_rows(fh, row_fmt, rows, lo, hi):
-    """Write rows lo..hi-1 of the row-block source `rows`.
+    """Write rows lo..hi-1 of the row-block source `rows`; return their tally.
 
-    rows(a, b) returns the columns of rows a..b-1; it is called for
-    _CHUNK_ROWS rows at a time, so a source that computes its rows holds
-    one block of them. Formatted numbers never need quoting, so each
-    _FORMAT_ROWS rows are formatted from native floats with the row format
-    repeated once per row.
+    rows(a, b) returns the columns of rows a..b-1 and their tally, a tuple
+    of sums over them; it is called for _CHUNK_ROWS rows at a time, so a
+    source that computes its rows holds one block of them. Formatted numbers
+    never need quoting, so each _FORMAT_ROWS rows are formatted from native
+    floats with the row format repeated once per row.
     """
+    total = 0.0
     for a in range(lo, hi, _CHUNK_ROWS):
-        columns = rows(a, min(a + _CHUNK_ROWS, hi))
+        columns, tally = rows(a, min(a + _CHUNK_ROWS, hi))
+        total = total + np.array(tally, dtype=float)
         m = len(columns[0])
         for b in range(0, m, _FORMAT_ROWS):
             c = min(b + _FORMAT_ROWS, m)
             values = np.column_stack([col[b:c] for col in columns]).ravel().tolist()
             fh.write((row_fmt * (c - b)) % tuple(values))
+    return total
 
 
 def _write_rows(path, header, columns):
     """Header as csv.writer writes it, then %.17g rows ending in CRLF."""
     _write_row_blocks(path, header, len(columns[0]),
-                      lambda lo, hi: [c[lo:hi] for c in columns])
+                      lambda lo, hi: ([c[lo:hi] for c in columns], ()))
 
 
 def _write_row_blocks(path, header, n, rows):
-    """_write_rows for the n rows of a row-block source (see _format_rows).
+    """_write_rows for the n rows of a row-block source; returns their tally.
 
     The rows are computed and formatted on every CPU the process may use,
     one contiguous range per worker, up to one worker per chunk of rows;
-    the file's bytes do not depend on the number of workers.
+    the file's bytes do not depend on the number of workers (see _format_rows).
     """
     row_fmt = ",".join([_FMT] * len(header)) + "\r\n"
     workers = min(_cpu_count(), -(-n // _CHUNK_ROWS))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
         if workers < 2 or not hasattr(os, "fork"):
-            _format_rows(fh, row_fmt, rows, 0, n)
-        else:
-            _write_rows_forked(fh, row_fmt, rows, n, workers)
+            return _format_rows(fh, row_fmt, rows, 0, n)
+        return _write_rows_forked(fh, row_fmt, rows, n, workers)
 
 
 def _write_rows_forked(fh, row_fmt, rows, n, workers):
     """Format rows in `workers` processes: the parent and forked children.
 
     Each range after the first is computed and formatted by a child into
-    its own temporary file; the parent does the first range into `fh`, waits
-    for every child and appends their files in order. The header is
-    flushed before forking so no child holds buffered text, and a child
-    only formats floats into its file and leaves through os._exit, which
+    its own temporary file, and its tally sent through a pipe; the parent
+    does the first range into `fh`, waits for every child and appends their
+    files and tallies in order. The header is flushed before forking so no
+    child holds buffered text, and a child leaves through os._exit, which
     runs no cleanup or buffer flush inherited from the parent.
     """
     import contextlib
@@ -108,34 +111,40 @@ def _write_rows_forked(fh, row_fmt, rows, n, workers):
     bounds = [n * k // workers for k in range(workers + 1)]
     fh.flush()
     with contextlib.ExitStack() as files:
-        children = []  # (pid, temporary file, first row, end row)
+        children = []  # (pid, temporary file, tally pipe, first row, end row)
         try:
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
                 tmp = files.enter_context(tempfile.TemporaryFile())
-                pid = os.fork()
-                if pid == 0:
-                    _format_in_child(tmp, row_fmt, rows, lo, hi)
-                children.append((pid, tmp, lo, hi))
-            _format_rows(fh, row_fmt, rows, 0, bounds[1])
+                r, w = os.pipe()
+                tally = files.enter_context(open(r, "rb"))
+                with open(w, "wb") as sink:  # closed in the parent: EOF once the child exits
+                    pid = os.fork()
+                    if pid == 0:
+                        _format_in_child(tmp, sink, row_fmt, rows, lo, hi)
+                children.append((pid, tmp, tally, lo, hi))
+            total = _format_rows(fh, row_fmt, rows, 0, bounds[1])
         finally:
             codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                      for pid, *_ in children]
         fh.flush()
-        for (_, tmp, lo, hi), code in zip(children, codes):
+        for (_, tmp, tally, lo, hi), code in zip(children, codes):
             if code != 0:
                 raise OSError(f"CSV writer process for rows {lo}..{hi - 1} "
                               f"exited with status {code}")
+            total = total + np.frombuffer(tally.read())
             tmp.seek(0)
             shutil.copyfileobj(tmp, fh.buffer)
+    return total
 
 
-def _format_in_child(tmp, row_fmt, rows, lo, hi):
-    """Forked child: format rows lo..hi-1 into `tmp`, then exit; never returns."""
+def _format_in_child(tmp, sink, row_fmt, rows, lo, hi):
+    """Forked child: rows lo..hi-1 into `tmp`, their tally into `sink`; never returns."""
     code = 1
     try:
         with open(tmp.fileno(), "w", encoding="utf-8", newline="",
                   closefd=False) as out:
-            _format_rows(out, row_fmt, rows, lo, hi)
+            total = _format_rows(out, row_fmt, rows, lo, hi)
+        os.write(sink.fileno(), np.asarray(total, dtype=float).tobytes())
         code = 0
     except BaseException:  # reported here; the parent raises on the status
         import traceback
@@ -188,10 +197,10 @@ def _read_trace_csv(path, truth_columns):
                          if truth_columns is None or header[k] in truth_columns]
         columns = _read_columns(path, fh, len(header), keep)
     t, p = columns[:2]
-    if t.size < 2:
-        raise CsvFormatError(f"{path}: need at least two data rows")
     if not np.all((p > 0.0) & (p < math.inf)):
         _raise_row_error(path, len(header))
+    if t.size < MIN_TRACE_LEN:
+        raise CsvFormatError(f"{path}: need at least {MIN_TRACE_LEN} data rows")
     # The check is order-free, so the median may partition the steps in place.
     steps = np.diff(t)
     dt = _median(steps)
@@ -302,33 +311,43 @@ def _times(dt: float, lo: int, hi: int) -> np.ndarray:
     return np.arange(lo, hi) * dt
 
 
-def write_breakdown_csv(path, trace: PressureTrace, bd: ForceBreakdown) -> None:
-    """Iterative-path output; each writer computes the force chain of its rows."""
+def _sse(estimate, truth, lo, hi) -> tuple:
+    """Tally of Σ(estimate - truth)² over rows lo..hi-1; empty (None returned) without truth."""
+    return () if truth is None else (metrics.sse(estimate, truth[lo:hi]),)
+
+
+def write_breakdown_csv(path, trace: PressureTrace, bd: ForceBreakdown, truth):
+    """Iterative-path output, the chain per row block; returns Σ(f_out - truth)² or None."""
     header = ["t_s", "p1_pa", "p2_pa", "f_gas_n", "f_damp_n", "f_fric_n",
               "f_out_n", "v_mps", "h_m", "a_mps2"]
 
     def rows(lo, hi):
         r = bd.rows(lo, hi)
-        return [_times(trace.dt, lo, hi), trace.samples[lo:hi], r.p2, r.f_gas,
-                r.f_damp, r.f_fric, r.f_out, r.v, r.h_total, r.a]
-    _write_row_blocks(path, header, trace.n, rows)
+        return [_times(trace.dt, lo, hi), trace.samples[lo:hi], r.p2, r.f_gas, r.f_damp,
+                r.f_fric, r.f_out, r.v, r.h_total, r.a], _sse(r.f_out, truth, lo, hi)
+    total = _write_row_blocks(path, header, trace.n, rows)
+    return None if truth is None else float(total[0])
 
 
-def write_wheel_load_csv(path, dt: float, series: WheelLoadSeries) -> None:
-    """Wheel-load output; each writer computes the kinematic chain of its rows."""
+def write_wheel_load_csv(path, dt: float, series: WheelLoadSeries, truth):
+    """Wheel-load output, the chain per row block; returns (liftoff count, Σ(f_tire - truth)²)."""
     header = ["t_s", "f_out_n", "h_sus_m", "v_mps", "a_sus_mps2", "theta_rad",
               "beta_rad", "i_sus", "ztt_acc_mps2", "f_tire_n", "liftoff_flag"]
 
     def rows(lo, hi):
         r = series.rows(lo, hi)
-        return [_times(dt, lo, hi), r.f_out, r.h_sus, r.v, r.a_sus, r.theta,
-                r.beta, r.i_sus, r.z_ddot_t, r.f_tire, (r.f_tire < 0.0).astype(float)]
-    _write_row_blocks(path, header, series.n, rows)
+        liftoff = r.f_tire < 0.0
+        return ([_times(dt, lo, hi), r.f_out, r.h_sus, r.v, r.a_sus, r.theta, r.beta,
+                 r.i_sus, r.z_ddot_t, r.f_tire, liftoff.astype(float)],
+                (np.count_nonzero(liftoff),) + _sse(r.f_tire, truth, lo, hi))
+    count, *total = _write_row_blocks(path, header, series.n, rows)
+    return int(count), (None if truth is None else float(total[0]))
 
 
-def write_lookup_csv(path, trace: PressureTrace, est: SeriesEstimate) -> None:
-    """Lookup-path output; each writer queries the table for its rows."""
+def write_lookup_csv(path, trace: PressureTrace, est: SeriesEstimate, truth):
+    """Lookup-path output, queried per row block; returns Σ(f_out - truth)² or None."""
     def rows(lo, hi):
         r = est.rows(lo, hi)
-        return [_times(trace.dt, lo, hi), r.f_out, r.v, r.h]
-    _write_row_blocks(path, ["t_s", "f_out_n", "v_mps", "h_m"], trace.n, rows)
+        return [_times(trace.dt, lo, hi), r.f_out, r.v, r.h], _sse(r.f_out, truth, lo, hi)
+    total = _write_row_blocks(path, ["t_s", "f_out_n", "v_mps", "h_m"], trace.n, rows)
+    return None if truth is None else float(total[0])

@@ -157,8 +157,8 @@ class SeriesEstimate:
     Each sample is queried at the blend frequency of its run; the runs are
     held as their first rows and frequencies. (f_out, v, h) are computed
     for a range of rows (`rows`), so no whole-trace copy of them need
-    exist; `f_out`, `v`, `h` and the per-sample `omega` are built on every
-    access, _BLOCK_ROWS rows at a time.
+    exist; `h` (_BLOCK_ROWS rows at a time) and the per-sample `omega` are
+    built on every access.
     """
 
     p1: np.ndarray
@@ -177,21 +177,10 @@ class SeriesEstimate:
         return np.repeat(self.run_omegas, np.diff(self.run_starts, append=self.n))
 
     @property
-    def f_out(self) -> np.ndarray:
-        return self._column(0)
-
-    @property
-    def v(self) -> np.ndarray:
-        return self._column(1)
-
-    @property
     def h(self) -> np.ndarray:
-        return self._column(2)
-
-    def _column(self, k: int) -> np.ndarray:
         out = np.empty(self.n)
         for lo in range(0, self.n, _BLOCK_ROWS):
-            out[lo:lo + _BLOCK_ROWS] = self.rows(lo, lo + _BLOCK_ROWS)[k]
+            out[lo:lo + _BLOCK_ROWS] = self.rows(lo, lo + _BLOCK_ROWS).h
         return out
 
     def _blocks(self, lo: int, hi: int):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -97,12 +96,9 @@ class ValidationContext:
 
     @cached_property
     def wheel_series(self) -> wheel.WheelLoadSeries:
-        trace = self.quarter_car_run.to_pressure_trace()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", wheel.WheelLiftoffWarning)
-            return wheel.estimate_wheel_load_series(
-                trace, self.table("truck"), self.truck.linkage,
-                omega=2.0 * math.pi * QC_ROAD_FREQ)
+        return wheel.estimate_wheel_load_series(
+            self.quarter_car_run.to_pressure_trace(), self.table("truck"),
+            self.truck.linkage, omega=2.0 * math.pi * QC_ROAD_FREQ)
 
 
 def criterion_1(ctx: ValidationContext) -> CriterionResult:
@@ -129,10 +125,10 @@ def criterion_2(ctx: ValidationContext) -> CriterionResult:
                                   ("50C", ctx.bench50, "bench50")):
         trace = ctx.bench_trace(HOLDOUT_FREQ, cfg=cfg,
                                 amp=7.5 * min(1.0, 5.0 / HOLDOUT_FREQ) * 1e-3)
-        est = lookup.estimate_series(trace.to_pressure_trace(), ctx.table(table_key),
-                                     omega=2.0 * math.pi * HOLDOUT_FREQ)
-        rel = metrics.rel_rmse(est.f_out, trace.f_out)
-        r2 = metrics.r_squared(est.f_out, trace.f_out)
+        f_out = lookup.estimate_series(trace.to_pressure_trace(), ctx.table(table_key),
+                                       omega=2.0 * math.pi * HOLDOUT_FREQ).rows().f_out
+        rel = metrics.rel_rmse(f_out, trace.f_out)
+        r2 = metrics.r_squared(f_out, trace.f_out)
         ok = ok and rel < 0.045 and r2 > 0.94
         details.append(f"{label}: rel RMSE {rel:.3%} (<4.5%), R2 {r2:.4f} (>0.94)")
     return CriterionResult(2, "7.5 Hz hold-out through lookup table", ok,
@@ -148,7 +144,7 @@ def criterion_3(ctx: ValidationContext) -> CriterionResult:
         it = estimator.run(ptrace, ctx.bench30, freq_override=f)
         lk = lookup.estimate_series(ptrace, ctx.table("bench30"),
                                     omega=2.0 * math.pi * f)
-        rel = metrics.rel_rmse(lk.f_out, it.f_out)
+        rel = metrics.rel_rmse(lk.rows().f_out, it.rows().f_out)
         ok = ok and rel < 0.02
         details.append(f"{f:g} Hz: {rel:.3%}")
     return CriterionResult(3, "lookup vs iterative at grid frequencies", ok,
@@ -271,17 +267,15 @@ def criterion_7(ctx: ValidationContext) -> CriterionResult:
 
 def _qc_window(ctx: ValidationContext):
     run = ctx.quarter_car_run
-    series = ctx.wheel_series
-    mask = run.t >= QC_SETTLE_S
-    return run, series, mask
+    return run, ctx.wheel_series.rows(), run.t >= QC_SETTLE_S
 
 
 def criterion_8(ctx: ValidationContext) -> CriterionResult:
     """Closed-loop wheel load vs quarter-car truth at 8 Hz, truck preset."""
-    run, series, mask = _qc_window(ctx)
+    run, rows, mask = _qc_window(ctx)
     # Wheel loads carry a large static offset, so the relative error is
     # taken against the mean load rather than the peak-to-peak range.
-    rel = metrics.rel_rmse_mean(series.f_tire[mask], run.f_tire_truth[mask])
+    rel = metrics.rel_rmse_mean(rows.f_tire[mask], run.f_tire_truth[mask])
     ok = rel < 0.05
     return CriterionResult(8, "quarter-car wheel-load closed loop", ok,
                            f"rel RMSE {rel:.3%} of mean load (<5%) over "
@@ -291,9 +285,8 @@ def criterion_8(ctx: ValidationContext) -> CriterionResult:
 
 def criterion_9(ctx: ValidationContext) -> CriterionResult:
     """Tire inertia term stays a small fraction of the wheel load."""
-    _, series, mask = _qc_window(ctx)
+    _, rows, mask = _qc_window(ctx)
     m_t = ctx.truck.linkage.m_t
-    rows = series.rows()
     frac = float(np.max(np.abs(m_t * rows.z_ddot_t[mask]))
                  / np.mean(rows.f_tire[mask]))
     ok = frac < 0.03

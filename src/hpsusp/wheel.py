@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 COS_SINGULARITY = 0.1
-_BLOCK_ROWS = 8192       # rows per kinematic-chain evaluation in the liftoff pass
+_BLOCK_ROWS = 8192       # rows per transmission-ratio check of the h pass
 
 
 class GeometrySingularityError(ValueError):
@@ -136,23 +136,11 @@ class WheelLoadSeries:
     h_ref: float             # travel reference: run mean of the looked-up h, m
     dt: float
     link: WheelLinkage
-    liftoff_count: int = 0
+    liftoff_count: int = 0   # rows with f_tire < 0, once the rows are written
 
     @property
     def n(self) -> int:
         return self.est.n
-
-    @property
-    def stats(self) -> lookup.QueryStats:
-        return self.est.stats
-
-    @property
-    def f_tire(self) -> np.ndarray:
-        """Wheel load of the whole trace, its chain computed _BLOCK_ROWS rows at a time."""
-        f = np.empty(self.n)
-        for lo in range(0, self.n, _BLOCK_ROWS):
-            f[lo:lo + _BLOCK_ROWS] = self.rows(lo, lo + _BLOCK_ROWS).f_tire
-        return f
 
     def rows(self, lo: int = 0, hi: int | None = None) -> WheelLoadRows:
         """The chain for rows lo..hi-1, from the lookup rows max(lo - 1, 0)..hi-1.
@@ -191,16 +179,13 @@ def estimate_wheel_load_series(trace: PressureTrace, table: lookup.LookupTable,
     looked-up h (static operating point), so theta measures deviation from
     static equilibrium.
 
-    The whole-trace h is built for its mean and then freed. One pass over
-    the rows, _BLOCK_ROWS at a time, counts liftoff and raises any
-    GeometrySingularityError before the caller writes output.
+    The whole-trace h is built for its mean and its rows' transmission
+    ratio checked, _BLOCK_ROWS at a time, so any GeometrySingularityError
+    comes before the caller writes output (and counts liftoff).
     """
     est = lookup.estimate_series(trace, table, omega=omega)
-    series = WheelLoadSeries(est=est, h_ref=est.h.mean(), dt=trace.dt, link=link)
-    series.liftoff_count = sum(
-        int(np.count_nonzero(series.rows(lo, lo + _BLOCK_ROWS).f_tire < 0.0))
-        for lo in range(0, series.n, _BLOCK_ROWS))
-    if series.liftoff_count:
-        warnings.warn(f"wheel load negative at {series.liftoff_count} sample(s): "
-                      "liftoff", WheelLiftoffWarning, stacklevel=2)
+    h = est.h
+    series = WheelLoadSeries(est=est, h_ref=h.mean(), dt=trace.dt, link=link)
+    for lo in range(0, h.size, _BLOCK_ROWS):
+        suspension_ratio(*lower_arm_angle(h[lo:lo + _BLOCK_ROWS] - series.h_ref, link), link)
     return series

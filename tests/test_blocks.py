@@ -13,11 +13,12 @@ from __future__ import annotations
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from hpsusp import cli, config, core, estimator, io, lookup, oracle, wheel
+from hpsusp import cli, config, core, estimator, io, lookup, metrics, oracle, wheel
 
 DT = 1.0 / 360.0
 SIZES = ["1", "2", "3", "7", "n-1", "n", "n+1", "split"]
@@ -105,8 +106,9 @@ def test_series_estimate_and_stats_equal(case, monkeypatch, size, omega):
     ref = lookup.estimate_series(trace, table, omega=omega)
     _patch(monkeypatch, _size(case, size))
     est = lookup.estimate_series(trace, table, omega=omega)
-    for name in ("v", "f_out", "h", "omega"):
-        assert np.array_equal(getattr(est, name), getattr(ref, name)), name
+    assert np.array_equal(est.h, ref.h) and np.array_equal(est.omega, ref.omega)
+    for name in ("v", "f_out", "h"):
+        assert np.array_equal(getattr(est.rows(), name), getattr(ref.rows(), name)), name
     assert est.stats == ref.stats
     assert est.stats.n_queries == trace.n
 
@@ -145,18 +147,71 @@ def test_row_ranges_equal_whole_trace(case, monkeypatch, truck, size, omega):
                                   getattr(ref_rows, name)[lo:hi]), (lo, hi, name)
 
 
+def _heavy_link(truck):
+    """A heavy tire without gravity: it lifts off wherever it accelerates upward."""
+    return dataclasses.replace(truck.linkage, m_u=1.0e5, m_t=1.0e5, g=0.0)
+
+
 @pytest.mark.parametrize("size", SIZES)
-def test_wheel_load_and_liftoff_count_equal(case, monkeypatch, truck, size):
-    # a heavy tire without gravity lifts off wherever it accelerates upward
-    link = dataclasses.replace(truck.linkage, m_u=1.0e5, m_t=1.0e5, g=0.0)
-    args = (case["trace"], case["table"], link)
-    with pytest.warns(wheel.WheelLiftoffWarning):
-        ref = wheel.estimate_wheel_load_series(*args).rows()
+def test_wheel_load_and_liftoff_count_equal(case, monkeypatch, truck, tmp_path, size):
+    args = (case["trace"], case["table"], _heavy_link(truck))
+    ref = wheel.estimate_wheel_load_series(*args).rows()
+    truth = ref.f_tire * 1.01 + 3.0e3  # an error on every row
+    ref_count = np.count_nonzero(ref.f_tire < 0.0)
     _patch(monkeypatch, _size(case, size))
-    with pytest.warns(wheel.WheelLiftoffWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", wheel.WheelLiftoffWarning)  # warned after the write
         series = wheel.estimate_wheel_load_series(*args)
-    assert np.array_equal(series.f_tire, ref.f_tire)
-    assert series.liftoff_count == np.count_nonzero(ref.f_tire < 0.0) > 0
+    path = tmp_path / "wheel.csv"
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr(io, "_cpu_count", lambda cpus=cpus: cpus)
+        count, sse = io.write_wheel_load_csv(path, DT, series, truth)
+        assert count == ref_count > 0, cpus
+        assert sse == pytest.approx(metrics.sse(ref.f_tire, truth), rel=1e-12, abs=0.0), cpus
+        assert io.write_wheel_load_csv(path, DT, series, None) == (count, None), cpus
+
+
+def test_wheel_load_command_counts_liftoff_after_the_write(case, monkeypatch, capsys,
+                                                           tmp_path):
+    kept, estimate = [], wheel.estimate_wheel_load_series
+    monkeypatch.setattr(wheel, "estimate_wheel_load_series",
+                        lambda *a, **kw: kept.append(estimate(*a, **kw)) or kept[-1])
+    cfg = tmp_path / "heavy.cfg"  # the linkage of _heavy_link
+    cfg.write_text("preset = mining-truck\nlinkage.m_u_kg = 1e5\n"
+                   "linkage.m_t_kg = 1e5\nlinkage.g_mps2 = 0\n")
+    out = tmp_path / "wheel.csv"
+    with pytest.warns(wheel.WheelLiftoffWarning) as warned:
+        assert cli.main(["wheel-load", "--config", str(cfg), "--trace",
+                         str(case["dir"] / "trace.csv"), "--table",
+                         str(case["dir"] / "truck.hplt"), "--out", str(out)]) == 0
+    count = int(np.loadtxt(out, delimiter=",", skiprows=1, usecols=10).sum())
+    assert kept[0].liftoff_count == count > 0
+    assert [str(w.message) for w in warned] == [
+        f"wheel load negative at {count} sample(s): liftoff"]
+    assert f"{count} liftoff sample(s)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_truth_sums_of_squares_equal(case, monkeypatch, tmp_path, size):
+    trace, table = case["trace"], case["table"]
+    bench, _ = io.read_trace_csv(case["dir"] / "bench.csv")
+    bd = estimator.run(bench, config.bench_prototype())
+    ref = {"lookup": lookup.estimate_series(trace, table).rows().f_out,
+           "iterative": bd.rows().f_out}
+    truth = {k: np.sin(np.arange(f.size)) * 1e3 + f for k, f in ref.items()}
+    _patch(monkeypatch, _size(case, size))
+    est = lookup.estimate_series(trace, table)
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr(io, "_cpu_count", lambda cpus=cpus: cpus)
+        got = {"lookup": io.write_lookup_csv(tmp_path / "l.csv", trace, est,
+                                             truth["lookup"]),
+               "iterative": io.write_breakdown_csv(tmp_path / "i.csv", bench, bd,
+                                                   truth["iterative"])}
+        for k, f in ref.items():
+            assert got[k] == pytest.approx(metrics.sse(f, truth[k]), rel=1e-12,
+                                           abs=0.0), (k, cpus)
+        assert io.write_lookup_csv(tmp_path / "l.csv", trace, est, None) is None
+        assert io.write_breakdown_csv(tmp_path / "i.csv", bench, bd, None) is None
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -166,12 +221,70 @@ def test_iterative_channels_and_cavitation_count_equal(case, monkeypatch, size,
     trace, _ = io.read_trace_csv(case["dir"] / "bench.csv")
     cfg = config.bench_prototype()
     ref = estimator.run(trace, cfg, flow_inertia=flow_inertia)
-    ref_f_out, ref_count = ref.f_out, ref.cavitation_count
-    assert np.array_equal(ref_f_out, ref.rows().f_out)
-    _patch(monkeypatch, _size(case, size))
+    ref_f_out, ref_count = ref.rows().f_out, ref.cavitation_count
+    block = _size(case, size)
+    _patch(monkeypatch, block)
     bd = estimator.run(trace, cfg, flow_inertia=flow_inertia)
-    assert np.array_equal(bd.f_out, ref_f_out)
+    f_out = np.concatenate([bd.rows(lo, lo + block).f_out
+                            for lo in range(0, trace.n, block)])
+    assert np.array_equal(f_out, ref_f_out)
     assert bd.cavitation_count == ref_count > 0
+
+
+def _count_rows(monkeypatch, module, name: str, arg: int) -> list:
+    """Patch module.name to record (address, length) of its argument `arg`."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append((args[arg].ctypes.data, args[arg].size))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _per_row(calls, n: int) -> np.ndarray:
+    """How often each row was passed, for calls on slices of one float array from row 0."""
+    base = min(address for address, _ in calls)
+    counts = np.zeros(n, dtype=int)
+    for address, size in calls:
+        lo = (address - base) // 8
+        counts[lo:lo + size] += 1
+    return counts
+
+
+@pytest.mark.parametrize("chunk", [None, 1000])
+def test_each_command_computes_each_row_once_per_pass(case, monkeypatch, capsys,
+                                                      tmp_path, chunk):
+    n = case["trace"].n
+    monkeypatch.setattr(io, "_cpu_count", lambda: 1)  # every row in this process
+    if chunk:
+        monkeypatch.setattr(io, "_CHUNK_ROWS", chunk)
+    common = ["--trace", str(case["dir"] / "trace.csv"), "--table",
+              str(case["dir"] / "truck.hplt"), "--preset", "mining-truck",
+              "--out", str(tmp_path / "out.csv")]
+
+    queries = _count_rows(monkeypatch, lookup, "_interpolate", 2)
+    loads = _count_rows(monkeypatch, wheel, "wheel_load", 0)
+    assert cli.main(["wheel-load"] + common) == 0
+    # the h pass and the write; a written block after the first also
+    # queries the row before it, for its first a_sus difference
+    want = np.full(n, 2)
+    if chunk:
+        want[chunk - 1::chunk] += 1
+    assert np.array_equal(_per_row(queries, n), want)
+    assert sum(size for _, size in loads) == n
+
+    queries.clear()
+    assert cli.main(["estimate", "--mode", "lookup"] + common) == 0
+    assert np.array_equal(_per_row(queries, n), np.ones(n))
+
+    chains = _count_rows(monkeypatch, core, "force_chain", 0)
+    bench, _ = io.read_trace_csv(case["dir"] / "bench.csv")
+    assert cli.main(["estimate", "--preset", "bench-prototype", "--trace",
+                     str(case["dir"] / "bench.csv"), "--out",
+                     str(tmp_path / "bd.csv")]) == 0
+    assert np.array_equal(_per_row(chains, bench.n), np.ones(bench.n))
+    capsys.readouterr()
 
 
 def test_iterative_memory_per_added_sample(tmp_path):
@@ -192,7 +305,7 @@ def test_iterative_memory_per_added_sample(tmp_path):
         try:
             base = tracemalloc.get_traced_memory()[0]
             bd = estimator.run(trace, cfg)
-            io.write_breakdown_csv(tmp_path / "bd.csv", trace, bd)
+            io.write_breakdown_csv(tmp_path / "bd.csv", trace, bd, None)
             peaks[n] = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -222,7 +335,7 @@ def test_wheel_load_memory_per_added_sample(case, truck, tmp_path):
             base = tracemalloc.get_traced_memory()[0]
             series = wheel.estimate_wheel_load_series(trace, case["table"],
                                                       truck.linkage)
-            io.write_wheel_load_csv(tmp_path / "wheel.csv", DT, series)
+            io.write_wheel_load_csv(tmp_path / "wheel.csv", DT, series, None)
             peaks[n] = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

@@ -61,6 +61,31 @@ class TestExitCodes:
                              "--out", str(tmp_path / "o.csv"))
         assert code == 3
 
+    @pytest.mark.parametrize("rows", [0, 1, 2, 15])
+    def test_short_trace_is_input_error(self, capsys, table_file, tmp_path, rows):
+        short = tmp_path / "short.csv"
+        short.write_text("t_s,p1_pa\n" + "".join(f"{i / 360.0!r},800000.0\n"
+                                                 for i in range(rows)))
+        for argv in (("estimate",), ("estimate", "--mode", "lookup", "--table", table_file),
+                     ("wheel-load", "--table", table_file)):
+            code, _, err = run_cli(capsys, *argv, "--trace", str(short),
+                                   "--out", str(tmp_path / "o.csv"))
+            assert code == 3 and "need at least 16 data rows" in err, argv
+
+    @pytest.mark.parametrize("command", [("estimate", "--mode", "lookup"), ("wheel-load",)])
+    @pytest.mark.parametrize("flag, error", [("--trace", "Is a directory"),
+                                             ("--table", "Is a directory"),
+                                             ("--out", "Is a directory"),
+                                             ("--out", "Not a directory")])
+    def test_path_that_is_no_file_is_input_error(self, capsys, trace_file, table_file,
+                                                 tmp_path, command, flag, error):
+        paths = {"--trace": trace_file, "--table": table_file,
+                 "--out": str(tmp_path / "o.csv")}
+        paths[flag] = str(tmp_path) if error == "Is a directory" \
+            else os.path.join(trace_file, "o.csv")
+        code, _, err = run_cli(capsys, *command, *(x for kv in paths.items() for x in kv))
+        assert code == 3 and err.startswith("input error: ") and error in err
+
     def test_malformed_trace_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("t_s,p1_pa\n0,800000\n0.01,not-a-number\n")
@@ -317,6 +342,9 @@ def test_wheel_load_warnings_reach_stderr(capsys, tmp_path):
     assert probed.stdout == plain.stdout
     liftoff = [line for line in plain.stdout.splitlines() if "liftoff" in line]
     assert liftoff == ["wrote " + argv[-1] + ": 1441 samples, 577 liftoff sample(s)"]
+    # warned once, after the write
+    assert plain.stderr.count("WheelLiftoffWarning: wheel load negative at 577 sample(s): "
+                              "liftoff") == 1
 
 
 class TestFlagValues:

@@ -135,20 +135,20 @@ class TestRun:
         trace = _sine_trace(5.0, n=2048)
         bd = estimator.run(trace, bench_cfg)
         rows = bd.rows()
-        assert np.array_equal(bd.f_out, rows.f_gas + rows.f_damp + rows.f_fric)
+        assert np.array_equal(rows.f_out, rows.f_gas + rows.f_damp + rows.f_fric)
 
     def test_determinism(self, bench_cfg):
         trace = _sine_trace(5.0, n=2048)
         b1 = estimator.run(trace, bench_cfg)
         b2 = estimator.run(trace, bench_cfg)
-        assert np.array_equal(b1.f_out, b2.f_out)
+        assert np.array_equal(b1.rows().f_out, b2.rows().f_out)
 
     def test_round_trip_against_forward_model(self, bench_cfg):
         exc = oracle.Excitation(kind="sinusoid", amplitudes=(7.5e-3,),
                                 frequencies=(5.0,), duration=4.0)
         trace = oracle.simulate_suspension(exc, bench_cfg, DT)
         bd = estimator.run(trace.to_pressure_trace(), bench_cfg)
-        rel = metrics.rel_rmse(bd.f_out, trace.f_out)
+        rel = metrics.rel_rmse(bd.rows().f_out, trace.f_out)
         assert rel < 0.02
 
     def test_frequency_override_equivalence(self, bench_cfg):
@@ -157,8 +157,9 @@ class TestRun:
         trace = oracle.simulate_suspension(exc, bench_cfg, DT).to_pressure_trace()
         auto = estimator.run(trace, bench_cfg)
         forced = estimator.run(trace, bench_cfg, freq_override=5.0)
-        diff = metrics.rmse(auto.f_out, forced.f_out)
-        scale = float(np.sqrt(np.mean(np.square(forced.f_out))))
+        f_out = forced.rows().f_out
+        diff = metrics.rmse(auto.rows().f_out, f_out)
+        scale = float(np.sqrt(np.mean(np.square(f_out))))
         assert diff < 1e-3 * scale
 
     def test_hysteresis_shrinks_at_higher_temperature(self):
@@ -169,7 +170,8 @@ class TestRun:
             cfg = config.bench_prototype(t0=t0)
             trace = oracle.simulate_suspension(exc, cfg, DT)
             bd = estimator.run(trace.to_pressure_trace(), cfg)
-            areas[t0] = metrics.loop_area(bd.rows().h_total, bd.f_out)
+            rows = bd.rows()
+            areas[t0] = metrics.loop_area(rows.h_total, rows.f_out)
         assert areas[50.0] < areas[30.0]
 
     def test_config_used_as_given(self):

@@ -5,12 +5,13 @@ from __future__ import annotations
 import csv
 import os
 import re
+import signal
 import warnings
 
 import numpy as np
 import pytest
 
-from hpsusp import cli, estimator, io, lookup, oracle, wheel
+from hpsusp import cli, estimator, io, lookup, metrics, oracle, wheel
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +92,8 @@ class TestTraceValidation:
     def test_non_finite_time_base(self, tmp_path):
         path = self._write(
             tmp_path / "x.csv",
-            "t_s,p1_pa\n0,800000\nnan,800100\n0.02,800200\n0.03,800300\n")
+            "t_s,p1_pa\n0,800000\nnan,800100\n"
+            + "".join(f"{k / 100},800200\n" for k in range(2, 16)))
         with pytest.raises(io.CsvFormatError, match="not uniformly sampled"):
             io.read_trace_csv(path)
 
@@ -121,12 +123,13 @@ class TestOutputWriters:
         pt = estimator.PressureTrace(dt=trace.dt, samples=trace.p1)
         est = lookup.estimate_series(pt, bench_table, omega="auto")
         path = tmp_path / "lookup.csv"
-        io.write_lookup_csv(path, pt, est)
+        io.write_lookup_csv(path, pt, est, None)
+        rows = est.rows()
         ref = tmp_path / "ref.csv"
         with open(ref, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t_s", "f_out_n", "v_mps", "h_m"])
-            for row in zip(pt.t, est.f_out, est.v, est.h):
+            for row in zip(pt.t, rows.f_out, rows.v, rows.h):
                 writer.writerow(["%.17g" % x for x in row])
         assert path.read_bytes() == ref.read_bytes()
         assert path.read_bytes().count(b"\r\n") == pt.n + 1
@@ -135,22 +138,26 @@ class TestOutputWriters:
         pt = estimator.PressureTrace(dt=trace.dt, samples=trace.p1)
         bd = estimator.run(pt, bench_cfg)
         path = tmp_path / "bd.csv"
-        io.write_breakdown_csv(path, pt, bd)
+        sse = io.write_breakdown_csv(path, pt, bd, trace.f_out)
         data = np.genfromtxt(path, delimiter=",", names=True)
         assert data.size == trace.p1.size
-        np.testing.assert_allclose(data["f_out_n"], bd.f_out, rtol=1e-15)
+        f_out = bd.rows().f_out
+        np.testing.assert_allclose(data["f_out_n"], f_out, rtol=1e-15)
         np.testing.assert_allclose(
             data["f_gas_n"] + data["f_damp_n"] + data["f_fric_n"],
-            bd.f_out, rtol=1e-12)
+            f_out, rtol=1e-12)
+        assert sse == pytest.approx(metrics.sse(f_out, trace.f_out), rel=1e-12)
 
     def test_wheel_load_csv(self, tmp_path, ctx, truck):
         series = ctx.wheel_series
         path = tmp_path / "wheel.csv"
-        io.write_wheel_load_csv(path, 1.0 / 360.0, series)
+        count, sse = io.write_wheel_load_csv(path, 1.0 / 360.0, series, None)
         data = np.genfromtxt(path, delimiter=",", names=True)
-        assert data.size == series.f_tire.size
-        np.testing.assert_allclose(data["f_tire_n"], series.f_tire, rtol=1e-15)
+        f_tire = series.rows().f_tire
+        assert data.size == f_tire.size
+        np.testing.assert_allclose(data["f_tire_n"], f_tire, rtol=1e-15)
         assert set(np.unique(data["liftoff_flag"])) <= {0.0, 1.0}
+        assert count == np.count_nonzero(data["liftoff_flag"]) and sse is None
 
 
 def _reference_rows(path):
@@ -273,13 +280,25 @@ class TestLoadtxtIngest:
         assert io.read_trace_csv(path)[0].dt == dt
         assert (dt in np.diff(t)) == (n_steps % 2 == 1)
 
+    @pytest.mark.parametrize("rows", [1, 2, 15, 16])
+    def test_fewer_rows_than_a_trace_holds_is_format_error(self, tmp_path, rows):
+        t = np.arange(rows) / 360.0
+        path = tmp_path / "x.csv"
+        io._write_rows(path, ["t_s", "p1_pa"], [t, np.full(rows, 8.0e5)])
+        if rows < estimator.MIN_TRACE_LEN:
+            with pytest.raises(io.CsvFormatError,
+                               match=f"{re.escape(str(path))}: need at least 16 data rows"):
+                io.read_trace_csv(path)
+        else:
+            assert io.read_trace_csv(path)[0].n == rows
+
     @pytest.mark.parametrize("text", ["t_s,p1_pa\n", "t_s,p1_pa\n\n\n"])
     def test_header_only_raises_without_warning(self, tmp_path, text):
         path = self._write(tmp_path / "x.csv", text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(io.CsvFormatError,
-                               match="need at least two data rows"):
+                               match="need at least 16 data rows"):
                 io.read_trace_csv(path)
 
 
@@ -323,6 +342,38 @@ class TestParallelEmit:
         ref = _reference_bytes(tmp_path / "ref.csv", header, cols)
         assert path.read_bytes() == ref
         assert len(forks) == max(min(cpus, -(-n // self.CHUNK)) - 1, 0)
+
+    @pytest.mark.parametrize("n", [1, 5, 6, 14, 23])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_tally_sums_over_every_worker(self, tmp_path, monkeypatch, forks, n, cpus):
+        monkeypatch.setattr(io, "_cpu_count", lambda: cpus)
+        x = np.arange(n) - 7.5
+
+        def rows(lo, hi):
+            return [x[lo:hi]], (np.count_nonzero(x[lo:hi] < 0.0), float(np.sum(x[lo:hi] ** 2)))
+        total = io._write_row_blocks(tmp_path / "rows.csv", ["a_x"], n, rows)
+        assert total.tolist() == [np.count_nonzero(x < 0.0), float(np.sum(x ** 2))]
+        assert len(forks) == min(cpus, -(-n // self.CHUNK)) - 1
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_tally_free_rows_return_from_forked_children(self, tmp_path, monkeypatch,
+                                                         forks, cpus):
+        # a child with nothing to report must still end the parent's read
+        monkeypatch.setattr(io, "_cpu_count", lambda: cpus)
+
+        def hang(signum, frame):
+            raise TimeoutError("the writer did not return")
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(30)
+        cols = [np.arange(23) / 3.0]
+        try:
+            io._write_rows(tmp_path / "rows.csv", ["a_x"], cols)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(forks) == cpus - 1
+        assert (tmp_path / "rows.csv").read_bytes() == _reference_bytes(
+            tmp_path / "ref.csv", ["a_x"], cols)
 
     def test_serial_without_fork(self, tmp_path, monkeypatch):
         monkeypatch.setattr(io, "_CHUNK_ROWS", self.CHUNK)

@@ -203,8 +203,9 @@ class TestEstimateSeries:
         trace = estimator.PressureTrace(dt=DT, samples=np.full(512, p_level))
         est = lookup.estimate_series(trace, bench_table,
                                      omega=bench_table.grids[1].omega)
-        assert np.allclose(est.v, 0.0, atol=1e-6)
-        assert np.allclose(est.f_out, est.f_out[0])
+        rows = est.rows()
+        assert np.allclose(rows.v, 0.0, atol=1e-6)
+        assert np.allclose(rows.f_out, rows.f_out[0])
 
     def test_dt_mismatch_raises(self, bench_table):
         trace = estimator.PressureTrace(dt=DT * 2, samples=np.full(64, 1.0e6))
@@ -217,7 +218,7 @@ class TestEstimateSeries:
                                      omega=2 * np.pi * 5.0)
         from hpsusp import estimator as est_mod
         bd = est_mod.run(trace, bench_cfg, freq_override=5.0)
-        assert metrics.rel_rmse(est.f_out[2:], bd.f_out[2:]) < 0.02
+        assert metrics.rel_rmse(est.rows(2).f_out, bd.rows(2).f_out) < 0.02
 
     def test_auto_frequency_tracking(self, ctx, bench_table):
         trace = ctx.bench_trace(5.0).to_pressure_trace()
@@ -296,8 +297,8 @@ class TestEstimateSeries:
             mask = est.omega == w
             ref[mask] = _ref_bilinear(_ref_blend_cells(bench_table, float(w)),
                                       g, p[mask], dp[mask], stats)
-        assert np.array_equal(est.f_out, ref[:, 0])
-        assert np.array_equal(est.v, ref[:, 1])
+        assert np.array_equal(est.rows().f_out, ref[:, 0])
+        assert np.array_equal(est.rows().v, ref[:, 1])
         assert np.array_equal(est.h, ref[:, 2])
         assert est.stats == stats
         assert stats.p_clamped + stats.dp_clamped > 0

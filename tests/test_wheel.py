@@ -164,7 +164,7 @@ class TestSeriesEstimation:
         series = wheel.estimate_wheel_load_series(trace, table, truck.linkage,
                                                   omega=g.omega)
         k = 2  # earlier samples carry difference start-up values
-        f = series.f_tire[k:]
+        f = series.rows(k).f_tire
         assert np.allclose(f, f[0], rtol=1e-9)
         i0 = truck.linkage.static_ratio()
         f_static = lookup.query(table, p_level, 0.0, g.omega)[0]
@@ -180,5 +180,5 @@ class TestSeriesEstimation:
         run = ctx.quarter_car_run
         series = ctx.wheel_series
         mask = run.t >= 2.0
-        rel = metrics.rel_rmse_mean(series.f_tire[mask], run.f_tire_truth[mask])
+        rel = metrics.rel_rmse_mean(series.rows().f_tire[mask], run.f_tire_truth[mask])
         assert rel < 0.05
