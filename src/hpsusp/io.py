@@ -7,10 +7,14 @@ to parsing precision.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import itertools
 import math
 import os
+import types
 import warnings
+from io import TextIOWrapper
 
 import numpy as np
 
@@ -31,8 +35,9 @@ __all__ = [
 
 _FMT = "%.17g"
 _CHUNK_ROWS = 8192      # rows computed at once, and worth a writer process of their own
-_FORMAT_ROWS = 256      # rows per %-format call; bounds the text held at once
+_FORMAT_ROWS = 256      # rows per _csv_text call; bounds its temporaries (~300 B a value)
 _READ_ROWS = 8192       # data rows per np.loadtxt call; bounds the parse buffer
+_SCAN_BYTES = 1 << 20   # bytes per read of the line-counting pass
 
 TRACE_BASE_COLUMNS = ("t_s", "p1_pa")
 TRACE_TRUTH_COLUMNS = ("f_out_truth_n", "v_truth_mps", "h_truth_m")
@@ -51,14 +56,181 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _format_rows(fh, row_fmt, rows, lo, hi):
-    """Write rows lo..hi-1 of the row-block source `rows`; return their tally.
+# %.17g in NumPy: see _csv_text
+_POW10 = np.array([float(10 ** s) for s in range(23)])  # each exact in binary64
+_SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two halves
+_POW10_HI = _SPLITTER * _POW10 - (_SPLITTER * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_SLOT = 32  # text bytes per value: at most 25 with its separator
+
+
+def _text_tables():
+    """Digit groups and the per-exponent slot layout of _csv_text.
+
+    Built with as few distinct NumPy operations as will do: each one's
+    first use maps more of NumPy's code, which shows in peak RSS.
+    """
+    chars = np.frombuffer(("%04d" * 10000 % tuple(range(10000))).encode(), np.uint8)
+    chars = chars.reshape(10000, 4)
+    trailing = np.empty((10000, 4), bool)
+    zero = np.ones(10000, bool)
+    for i in (3, 2, 1, 0):
+        zero &= chars[:, i] == 48
+        trailing[:, i] = zero
+    # g's four digits at [g], and at [10000 + g] without its trailing zeros
+    groups = np.concatenate([chars, chars * ~trailing]).view(np.uint32).ravel()
+    kept = 4 - np.concatenate([np.zeros(10000, np.int8), trailing.sum(1, dtype=np.int8)])
+    # Rows 2 * (k + 4) + sign for exponents k = -4..15. The 17 digits sit
+    # at bytes 8..24: `stay` keeps those that stay there, `moved` those
+    # shifted one byte right behind the point, and `fill` adds the sign,
+    # the point and the zeros of "0.000" (k < 0) or of the integer part.
+    stay, moved, fill = (np.zeros((40, _SLOT), np.uint8) for _ in range(3))
+    for k in range(-4, 16):
+        rows = slice(2 * (k + 4), 2 * (k + 5))
+        if k >= 0:
+            stay[rows, 8:9 + k] = 255
+            moved[rows, 10 + k:26] = 255
+            fill[rows, 8:9 + k] = 48
+            fill[rows, 9 + k] = 46
+        else:  # "0.", "0.0", ... ending at byte 7
+            stay[rows, 8:25] = 255
+            fill[rows, 7 + k:8] = 48
+            fill[rows, 8 + k] = 46
+        fill[rows.stop - 1, 7 if k >= 0 else 6 + k] = 45
+    return groups, kept, stay.view(np.uint64), moved.view(np.uint64), fill.view(np.uint64)
+
+
+_GROUPS, _KEPT, _STAY, _MOVED, _FILL = _text_tables()
+
+
+def _scaled(a, k):
+    """(p, e) with p + e = a * 10**(16 - k) exactly: Dekker's TwoProduct."""
+    s = 16 - k
+    b, b_hi, b_lo = _POW10[s], _POW10_HI[s], _POW10_LO[s]
+    p = a * b
+    c = _SPLITTER * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    return p, a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+
+
+def _digits(x):
+    """(D, k, fast): |x| rounded to 17 digits, D * 10**(k - 16), where `fast`."""
+    a = np.abs(x)
+    fast = (a >= 9e-5) & (a < 1e16)
+    a[~fast] = 1.0
+    k = np.floor(np.log10(a)).astype(np.intp)
+    p, e = _scaled(a, k)
+    step = ((p - 1e17) + e >= 0.0).view(np.int8) - ((p - 1e16) + e < 0.0).view(np.int8)
+    if step.any():  # log10 misjudged a value next to a power of ten
+        k += step
+        p, e = _scaled(a, k)
+        fast &= ((p - 1e17) + e < 0.0) & ((p - 1e16) + e >= 0.0)
+    d = p.astype(np.int64)
+    d += np.rint(e).astype(np.int64)
+    up = d == 10 ** 17  # rounded up to the next power of ten
+    if up.any():
+        d[up] = 10 ** 16
+        k += up
+    fast &= (k >= -4) & (k <= 15)
+    k[~fast] = 0
+    return d, k, fast
+
+
+def _fill_slots(x, d, k):
+    """(slots, end): each value's fixed-notation text in _SLOT bytes, and where it ends."""
+    n = x.size
+    g = np.empty((5, n), np.int64)  # d's digits in groups of 4, 4, 4, 4 and 1
+    np.floor_divide(d, 10 ** 13, out=g[0])
+    q = d // 10 ** 9
+    np.subtract(q, g[0] * 10 ** 4, out=g[1])
+    r = d // 10 ** 5
+    np.subtract(r, q * 10 ** 4, out=g[2])
+    q = d // 10
+    np.subtract(q, r * 10 ** 4, out=g[3])
+    np.subtract(d, q * 10, out=g[4])
+    g[4] *= 1000
+    zero = g[4] == 0  # every later group is zero: drop this one's trailing zeros
+    g[4] += 10000
+    for j in (3, 2, 1, 0):
+        g[j] += zero * 10000
+        zero &= g[j] == 10000
+    shown = np.maximum(_KEPT.take(g).sum(axis=0, dtype=np.intp), k + 1)
+    slots = np.zeros((n, _SLOT), np.uint8)
+    for j in range(5):
+        _GROUPS.take(g[j], out=slots.view(np.uint32)[:, 2 + j], mode="clip")
+    words = slots.view(np.uint64)
+    moved = np.empty_like(words)
+    moved.view(np.uint8).ravel()[1:] = slots.ravel()[:-1]
+    moved.view(np.uint8).ravel()[:1] = 0
+    row = 2 * k + 8 + np.signbit(x)
+    words &= _STAY.take(row, axis=0)
+    moved &= _MOVED.take(row, axis=0)
+    words |= moved
+    words |= _FILL.take(row, axis=0)
+    return slots, 8 + shown + (shown > k + 1) - (k < 0)
+
+
+def _csv_text(block) -> np.ndarray:
+    """The CSV rows of a 2-D block of floats, each value as '%.17g' % value writes it.
+
+    Returns the text's bytes (uint8), each row ending in CRLF. The values
+    with 1e-4 <= |x| < 1e16, which '%.17g' prints in fixed notation with
+    exponent k = -4..15, are formatted in NumPy; zeros are written '0' and
+    '-0', and every other value (inf, nan, |x| < 1e-4 and |x| >= 1e16,
+    under 0.4 % of those the commands write) by Python's '%.17g'.
+
+    Why the digits are exact. '%.17g' is correctly rounded: it writes
+    D * 10**(k - 16), where k = floor(log10|x|) and D is |x| * 10**(16 - k)
+    rounded half to even, unless that rounds to 10**17, when it writes
+    10**16 * 10**(k + 1 - 16). With s = 16 - k in 0..22, 10**s is a
+    binary64 number, and Dekker's TwoProduct (Numer. Math. 18, 1971),
+    over Veltkamp's split by 2**27 + 1, gives doubles p + e = |x| * 10**s
+    exactly: the products stay far from overflow and underflow. The k
+    from log10 can be one off next to a power of ten; p + e decides
+    exactly whether |x| * 10**s lies in [10**16, 10**17), because
+    p - 10**16 is exact near 10**16 (Sterbenz) and elsewhere outweighs
+    |e|; k is moved and p, e recomputed. In [10**16, 10**17] doubles are
+    2 or more apart, so p is an even integer and |e| <= 8; D = p + rint(e)
+    then rounds half to even as '%.17g' does: '%.17g' % (1 + 2**-17) is
+    '1.0000076293945312'.
+
+    Text. D's digits come from a table of 4-digit groups, a group's
+    trailing zeros dropped when every later group is zero. Each value
+    gets a _SLOT-byte slot: its digits at bytes 8..24, masks per (k, sign)
+    that keep them or move the fraction one byte right, and the sign,
+    point and leading "0.000" or integer zeros. The separator goes at the
+    end of the text, and the zero bytes around it are dropped at once.
+    """
+    x = np.asarray(block, dtype=np.float64)
+    rows, cols = x.shape
+    x = x.ravel()
+    d, k, fast = _digits(x)
+    slots, end = _fill_slots(x, d, k)
+    del d, k
+    flat = slots.ravel()
+    zero = x == 0.0
+    flat[np.flatnonzero(zero) * _SLOT + 8] = 48
+    for i in np.flatnonzero(~fast & ~zero):
+        text = (_FMT % x[i]).encode()
+        slots[i] = 0
+        slots[i, :len(text)] = np.frombuffer(text, np.uint8)
+        end[i] = len(text)
+    end += np.arange(0, x.size * _SLOT, _SLOT)
+    flat[end] = 44
+    row_end = end[cols - 1::cols]
+    flat[row_end] = 13
+    flat[row_end + 1] = 10
+    return flat[flat != 0]
+
+
+def _format_rows(fh, rows, lo, hi):
+    """Write rows lo..hi-1 of the row-block source `rows` to binary `fh`; return their tally.
 
     rows(a, b) returns the columns of rows a..b-1 and their tally, a tuple
     of sums over them; it is called for _CHUNK_ROWS rows at a time, so a
-    source that computes its rows holds one block of them. Formatted numbers
-    never need quoting, so each _FORMAT_ROWS rows are formatted from native
-    floats with the row format repeated once per row.
+    source that computes its rows holds one block of them. Each
+    _FORMAT_ROWS rows are formatted at once by _csv_text.
     """
     total = 0.0
     for a in range(lo, hi, _CHUNK_ROWS):
@@ -66,9 +238,7 @@ def _format_rows(fh, row_fmt, rows, lo, hi):
         total = total + np.array(tally, dtype=float)
         m = len(columns[0])
         for b in range(0, m, _FORMAT_ROWS):
-            c = min(b + _FORMAT_ROWS, m)
-            values = np.column_stack([col[b:c] for col in columns]).ravel().tolist()
-            fh.write((row_fmt * (c - b)) % tuple(values))
+            fh.write(_csv_text(np.column_stack([col[b:b + _FORMAT_ROWS] for col in columns])))
     return total
 
 
@@ -78,23 +248,41 @@ def _write_rows(path, header, columns):
                       lambda lo, hi: ([c[lo:hi] for c in columns], ()))
 
 
+def _header_line(header) -> bytes:
+    """The header row as csv.writer writes it, CRLF included."""
+    text = []
+    csv.writer(types.SimpleNamespace(write=text.append)).writerow(header)
+    return "".join(text).encode("utf-8")
+
+
 def _write_row_blocks(path, header, n, rows):
     """_write_rows for the n rows of a row-block source; returns their tally.
 
     The rows are computed and formatted on every CPU the process may use,
     one contiguous range per worker, up to one worker per chunk of rows;
     the file's bytes do not depend on the number of workers (see _format_rows).
+    They go to `<path>.<pid>.tmp` beside `path`, renamed over it once
+    complete: when anything fails the temporary file is removed, and
+    `path` is left as it was.
     """
-    row_fmt = ",".join([_FMT] * len(header)) + "\r\n"
     workers = min(_cpu_count(), -(-n // _CHUNK_ROWS))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        if workers < 2 or not hasattr(os, "fork"):
-            return _format_rows(fh, row_fmt, rows, 0, n)
-        return _write_rows_forked(fh, row_fmt, rows, n, workers)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_header_line(header))
+            if workers < 2 or not hasattr(os, "fork"):
+                total = _format_rows(fh, rows, 0, n)
+            else:
+                total = _write_rows_forked(fh, rows, n, workers)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+    return total
 
 
-def _write_rows_forked(fh, row_fmt, rows, n, workers):
+def _write_rows_forked(fh, rows, n, workers):
     """Format rows in `workers` processes: the parent and forked children.
 
     Each range after the first is computed and formatted by a child into
@@ -104,7 +292,6 @@ def _write_rows_forked(fh, row_fmt, rows, n, workers):
     child holds buffered text, and a child leaves through os._exit, which
     runs no cleanup or buffer flush inherited from the parent.
     """
-    import contextlib
     import shutil
     import tempfile
 
@@ -120,30 +307,28 @@ def _write_rows_forked(fh, row_fmt, rows, n, workers):
                 with open(w, "wb") as sink:  # closed in the parent: EOF once the child exits
                     pid = os.fork()
                     if pid == 0:
-                        _format_in_child(tmp, sink, row_fmt, rows, lo, hi)
+                        _format_in_child(tmp, sink, rows, lo, hi)
                 children.append((pid, tmp, tally, lo, hi))
-            total = _format_rows(fh, row_fmt, rows, 0, bounds[1])
+            total = _format_rows(fh, rows, 0, bounds[1])
         finally:
             codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                      for pid, *_ in children]
-        fh.flush()
         for (_, tmp, tally, lo, hi), code in zip(children, codes):
             if code != 0:
                 raise OSError(f"CSV writer process for rows {lo}..{hi - 1} "
                               f"exited with status {code}")
             total = total + np.frombuffer(tally.read())
             tmp.seek(0)
-            shutil.copyfileobj(tmp, fh.buffer)
+            shutil.copyfileobj(tmp, fh)
     return total
 
 
-def _format_in_child(tmp, sink, row_fmt, rows, lo, hi):
+def _format_in_child(tmp, sink, rows, lo, hi):
     """Forked child: rows lo..hi-1 into `tmp`, their tally into `sink`; never returns."""
     code = 1
     try:
-        with open(tmp.fileno(), "w", encoding="utf-8", newline="",
-                  closefd=False) as out:
-            total = _format_rows(out, row_fmt, rows, lo, hi)
+        total = _format_rows(tmp, rows, lo, hi)
+        tmp.flush()
         os.write(sink.fileno(), np.asarray(total, dtype=float).tobytes())
         code = 0
     except BaseException:  # reported here; the parent raises on the status
@@ -151,7 +336,6 @@ def _format_in_child(tmp, sink, row_fmt, rows, lo, hi):
         traceback.print_exc()
     finally:
         os._exit(code)
-
 
 def write_trace_csv(path, trace: OracleTrace) -> None:
     """Emit a pressure trace; truth columns included when available."""
@@ -195,21 +379,19 @@ def _read_trace_csv(path, truth_columns):
                 f"got {tuple(header[:2])}")
         keep = [0, 1] + [k for k in range(2, len(header))
                          if truth_columns is None or header[k] in truth_columns]
-        columns = _read_columns(path, fh, len(header), keep)
-    t, p = columns[:2]
+        steps, p, *truth = _read_columns(path, fh, reader.line_num, len(header), keep)
     if not np.all((p > 0.0) & (p < math.inf)):
         _raise_row_error(path, len(header))
-    if t.size < MIN_TRACE_LEN:
+    if p.size < MIN_TRACE_LEN:
         raise CsvFormatError(f"{path}: need at least {MIN_TRACE_LEN} data rows")
     # The check is order-free, so the median may partition the steps in place.
-    steps = np.diff(t)
     dt = _median(steps)
     steps -= dt
     if not dt > 0.0 or not np.all(np.abs(steps, out=steps) <= 1e-6 * dt):
         raise CsvFormatError(f"{path}: time column is not uniformly sampled")
     del steps
     trace = PressureTrace(dt=dt, samples=p)
-    return trace, {header[k]: column for k, column in zip(keep[2:], columns[2:])}
+    return trace, {header[k]: column for k, column in zip(keep[2:], truth)}
 
 
 def _median(x: np.ndarray) -> float:
@@ -226,19 +408,86 @@ def _median(x: np.ndarray) -> float:
     return float((x[k - 1] + x[k]) / 2.0)
 
 
-def _read_columns(path, fh, n_fields: int, keep: list) -> list:
-    """The data rows left in `fh`: fields `keep`, one contiguous float array each.
+def _read_columns(path, fh, header_lines: int, n_fields: int, keep: list) -> list:
+    """The data rows left in `fh`: the time steps, then the fields keep[1:].
 
-    Every field is parsed, _READ_ROWS rows per np.loadtxt call. Each kept
-    column is allocated once, for an upper bound on the rows (one per
-    line ending); its pages past the last row are never written, so they
-    stay out of the resident set.
+    keep[0] is the time column t; in its place come the steps
+    t[i + 1] - t[i], so t itself is never held. Every field is parsed,
+    _READ_ROWS rows per np.loadtxt call. Each column is allocated once,
+    for an upper bound on the rows (one per line); its pages past the last
+    row are never written, so they stay out of the resident set.
+
+    With two CPUs, fork and 2 * _READ_ROWS lines or more, a forked child
+    parses the lines after a line end near the middle of the file while
+    this process parses those before it (see _parse_halves). The result is
+    that of one serial parse, and a fault in either half is reported as
+    the serial parse reports it: by _raise_row_error, which names the
+    first bad row in the file.
     """
-    with open(path, "rb") as raw:  # lines end in \n, \r\n or \r
-        bound = 1 + sum(buf.count(b"\n") + buf.count(b"\r")
-                        for buf in iter(lambda: raw.read(1 << 20), b""))
+    bound, split, lines = _scan_lines(path)
+    lines -= header_lines
     columns = [np.empty(bound) for _ in keep]
-    n = 0
+    try:
+        if (split is not None and lines > 0 and bound - header_lines >= 2 * _READ_ROWS
+                and _cpu_count() >= 2 and hasattr(os, "fork")):
+            n = _parse_halves(path, fh, split, lines, n_fields, keep, columns)
+        else:
+            n = _parse(path, fh, n_fields, keep, columns)[0]
+    except CsvFormatError:
+        raise
+    except ValueError as exc:  # a row np.loadtxt rejects, a ragged row, or not UTF-8
+        _raise_row_error(path, n_fields, exc)
+    return [columns[0][:max(n - 1, 0)]] + [column[:n] for column in columns[1:]]
+
+
+def _scan_lines(path) -> tuple:
+    """(bound, split, lines) from one binary pass over `path`.
+
+    bound is one more than its line ends, each of \\n, \\r\\n and \\r
+    counted once, as the text reader splits lines; split is the offset
+    just past the first line end at or after the middle of the file (None
+    if there is none), and `lines` the number of line ends before it.
+    """
+    ends, split, lines = 0, None, 0
+    pos, cr = 0, False  # cr: the bytes before `buf` end in \r
+    with open(path, "rb") as raw:
+        middle = os.fstat(raw.fileno()).st_size // 2
+        for buf in iter(lambda: raw.read(_SCAN_BYTES), b""):
+            joined = cr and buf[:1] == b"\n"  # a \r\n across buffers, its \r counted
+            if split is None and pos + len(buf) > middle:
+                i = _past_line_end(buf, max(middle - pos, 0), raw.peek(1)[:1])
+                if i is not None:
+                    split, lines = pos + i, ends + _line_ends(buf[:i]) - joined
+            ends += _line_ends(buf) - joined
+            pos += len(buf)
+            cr = buf[-1:] == b"\r"
+    return ends + 1, split, lines
+
+
+def _line_ends(buf: bytes) -> int:
+    return buf.count(b"\n") + buf.count(b"\r") - buf.count(b"\r\n")
+
+
+def _past_line_end(buf: bytes, start: int, following: bytes):
+    """The offset just past the first line end in `buf` at or after `start`, or None.
+
+    `following` is the byte after `buf`, which may complete a \r\n.
+    """
+    ends = [i for i in (buf.find(b"\n", start), buf.find(b"\r", start)) if i >= 0]
+    if not ends:
+        return None
+    i = min(ends)
+    return i + 1 + ((buf[i + 1:i + 2] or following) == b"\n" and buf[i:i + 1] == b"\r")
+
+
+def _parse(path, lines, n_fields: int, keep: list, columns: list) -> tuple:
+    """Parse the rows of `lines` into `columns` from row 0: (rows, first t, last t).
+
+    columns[0] receives the time steps (see _read_columns). Raises
+    ValueError for a row np.loadtxt rejects or one without n_fields fields.
+    """
+    steps, bound = columns[0], len(columns[0])
+    n, first, last = 0, None, None
     with warnings.catch_warnings():
         # blank lines are skipped and an empty read ends the data; the
         # header-only case is reported by the caller, not as a warning
@@ -247,23 +496,91 @@ def _read_columns(path, fh, n_fields: int, keep: list) -> list:
         warnings.filterwarnings("ignore", message="Input line .* contained no data",
                                 category=UserWarning)
         while True:
-            try:
-                block = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
-                                   quotechar='"', max_rows=_READ_ROWS)
-            except ValueError as exc:
-                _raise_row_error(path, n_fields, exc)
+            block = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None,
+                               quotechar='"', max_rows=_READ_ROWS)
             m = len(block)
             if m and block.shape[1] != n_fields:  # loadtxt only checks rows agree
-                _raise_row_error(path, n_fields)
+                raise ValueError(f"rows of {block.shape[1]} fields, not {n_fields}")
             if n + m > bound:
                 raise CsvFormatError(f"{path}: file grew while it was read")
             if m:
-                for column, k in zip(columns, keep):
+                t = block[:, 0]
+                if n:
+                    steps[n - 1] = t[0] - last
+                else:
+                    first = t[0]
+                np.subtract(t[1:], t[:-1], out=steps[n:n + m - 1])
+                last = t[-1]
+                for column, k in zip(columns[1:], keep[1:]):
                     column[n:n + m] = block[:, k]
             n += m
             if m < _READ_ROWS:
-                return [column[:n] for column in columns]
+                return n, first, last
 
+
+def _parse_from(path, offset: int, n_fields: int, keep: list, columns: list) -> tuple:
+    """_parse of the lines of `path` from byte `offset`, a line start, to its end."""
+    with open(path, "rb") as raw:
+        raw.seek(offset)
+        lines = TextIOWrapper(raw, encoding="utf-8", newline="")
+        return _parse(path, lines, n_fields, keep, columns)
+
+
+def _parse_halves(path, fh, split: int, lines: int, n_fields: int, keep: list,
+                  columns: list) -> int:
+    """Parse the next `lines` lines of `fh` here, those from byte `split` in a child.
+
+    The forked child parses into its own copy of `columns` and sends its
+    rows through a pipe (see _parse_in_child); they go into `columns`
+    after this process's rows, with the step across the split. Should the
+    child fail, its half is parsed here, for its rows or its fault.
+    Returns the number of rows.
+    """
+    r, w = os.pipe()
+    with open(r, "rb") as source:
+        with open(w, "wb") as sink:  # closed here: EOF once the child exits
+            pid = os.fork()
+            if pid == 0:
+                source.close()  # else the child holds its own pipe open
+                _parse_in_child(sink, path, split, n_fields, keep, columns)
+        try:
+            n, _, last = _parse(path, itertools.islice(fh, lines), n_fields, keep, columns)
+            head = np.empty(2)  # the child's row count and first time
+            if source.readinto(head) == head.nbytes:
+                m, first = int(head[0]), head[1]
+                if n + m > len(columns[1]):
+                    raise CsvFormatError(f"{path}: file grew while it was read")
+                parts = [columns[0][n:n + m - 1]] + [c[n:n + m] for c in columns[1:]]
+                if all(source.readinto(part) == part.nbytes for part in parts):
+                    head = None
+        finally:
+            source.close()  # a child still writing gets EPIPE and exits
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if head is not None or code != 0:
+        m, first, _ = _parse_from(path, split, n_fields, keep, [c[n:] for c in columns])
+    if n and m:
+        columns[0][n - 1] = first - last
+    return n + m
+
+
+def _parse_in_child(sink, path, split: int, n_fields: int, keep: list, columns: list):
+    """Forked child: parse from byte `split`, send the rows to `sink`; never returns.
+
+    Sends the row count and the first time as two doubles, then the
+    steps and the other kept columns; on a failure it exits with status 1
+    and the parent parses this half again.
+    """
+    code = 1
+    try:
+        m, first, _ = _parse_from(path, split, n_fields, keep, columns)
+        sink.write(np.array([m, first if m else 0.0]).tobytes())
+        sink.write(columns[0][:max(m - 1, 0)])
+        for column in columns[1:]:
+            sink.write(column[:m])
+        sink.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 def _is_number(field: str) -> bool:
     """Whether numpy's tokenizer reads `field` as a float.
