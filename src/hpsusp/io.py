@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import itertools
 import math
 import os
@@ -64,11 +65,14 @@ _POW10_LO = _POW10 - _POW10_HI
 _SLOT = 32  # text bytes per value: at most 25 with its separator
 
 
+@functools.cache
 def _text_tables():
-    """Digit groups and the per-exponent slot layout of _csv_text.
+    """Digit groups and the per-exponent slot layout of _csv_text, read-only.
 
-    Built with as few distinct NumPy operations as will do: each one's
-    first use maps more of NumPy's code, which shows in peak RSS.
+    Built on the first write, not at import: in a command that writes
+    little the import sets the peak RSS, and building the tables there
+    raised `simulate`'s by ~0.7 MB (NumPy maps more of its code on each
+    operation's first use).
     """
     chars = np.frombuffer(("%04d" * 10000 % tuple(range(10000))).encode(), np.uint8)
     chars = chars.reshape(10000, 4)
@@ -97,10 +101,10 @@ def _text_tables():
             fill[rows, 7 + k:8] = 48
             fill[rows, 8 + k] = 46
         fill[rows.stop - 1, 7 if k >= 0 else 6 + k] = 45
-    return groups, kept, stay.view(np.uint64), moved.view(np.uint64), fill.view(np.uint64)
-
-
-_GROUPS, _KEPT, _STAY, _MOVED, _FILL = _text_tables()
+    tables = groups, kept, stay.view(np.uint64), moved.view(np.uint64), fill.view(np.uint64)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _scaled(a, k):
@@ -155,19 +159,20 @@ def _fill_slots(x, d, k):
     for j in (3, 2, 1, 0):
         g[j] += zero * 10000
         zero &= g[j] == 10000
-    shown = np.maximum(_KEPT.take(g).sum(axis=0, dtype=np.intp), k + 1)
+    groups, kept, stay, move, fill = _text_tables()
+    shown = np.maximum(kept.take(g).sum(axis=0, dtype=np.intp), k + 1)
     slots = np.zeros((n, _SLOT), np.uint8)
     for j in range(5):
-        _GROUPS.take(g[j], out=slots.view(np.uint32)[:, 2 + j], mode="clip")
+        groups.take(g[j], out=slots.view(np.uint32)[:, 2 + j], mode="clip")
     words = slots.view(np.uint64)
     moved = np.empty_like(words)
     moved.view(np.uint8).ravel()[1:] = slots.ravel()[:-1]
     moved.view(np.uint8).ravel()[:1] = 0
     row = 2 * k + 8 + np.signbit(x)
-    words &= _STAY.take(row, axis=0)
-    moved &= _MOVED.take(row, axis=0)
+    words &= stay.take(row, axis=0)
+    moved &= move.take(row, axis=0)
     words |= moved
-    words |= _FILL.take(row, axis=0)
+    words |= fill.take(row, axis=0)
     return slots, 8 + shown + (shown > k + 1) - (k < 0)
 
 
@@ -261,12 +266,15 @@ def _write_row_blocks(path, header, n, rows):
     The rows are computed and formatted on every CPU the process may use,
     one contiguous range per worker, up to one worker per chunk of rows;
     the file's bytes do not depend on the number of workers (see _format_rows).
-    They go to `<path>.<pid>.tmp` beside `path`, renamed over it once
-    complete: when anything fails the temporary file is removed, and
-    `path` is left as it was.
+    They go to `<file>.<pid>.tmp` beside the file `path` names (through
+    any symlink), renamed over it once complete: when anything fails the
+    temporary file is removed, and the file is left as it was. A path
+    that exists but is no regular file (a device such as /dev/null, or
+    a pipe) is written in place, never replaced.
     """
     workers = min(_cpu_count(), -(-n // _CHUNK_ROWS))
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    out = os.path.realpath(path)
+    tmp = out if os.path.exists(out) and not os.path.isfile(out) else f"{out}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(_header_line(header))
@@ -274,10 +282,12 @@ def _write_row_blocks(path, header, n, rows):
                 total = _format_rows(fh, rows, 0, n)
             else:
                 total = _write_rows_forked(fh, rows, n, workers)
-        os.replace(tmp, path)
+        if tmp != out:
+            os.replace(tmp, out)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
+        if tmp != out:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
         raise
     return total
 
@@ -296,6 +306,7 @@ def _write_rows_forked(fh, rows, n, workers):
     import tempfile
 
     bounds = [n * k // workers for k in range(workers + 1)]
+    _text_tables()  # built once, here, for every child to inherit
     fh.flush()
     with contextlib.ExitStack() as files:
         children = []  # (pid, temporary file, tally pipe, first row, end row)
@@ -417,7 +428,7 @@ def _read_columns(path, fh, header_lines: int, n_fields: int, keep: list) -> lis
     for an upper bound on the rows (one per line); its pages past the last
     row are never written, so they stay out of the resident set.
 
-    With two CPUs, fork and 2 * _READ_ROWS lines or more, a forked child
+    With two CPUs or more, fork and 2 * _READ_ROWS lines, a forked child
     parses the lines after a line end near the middle of the file while
     this process parses those before it (see _parse_halves). The result is
     that of one serial parse, and a fault in either half is reported as

@@ -6,6 +6,8 @@ import csv
 import os
 import re
 import signal
+import stat
+import threading
 import warnings
 
 import numpy as np
@@ -385,8 +387,7 @@ class TestParallelEmit:
         assert path.read_bytes() == _reference_bytes(tmp_path / "ref.csv",
                                                      ["a_x", "b_y"], cols)
 
-    @pytest.mark.parametrize("existing", [False, True])
-    def test_failing_child_raises(self, tmp_path, monkeypatch, forks, existing):
+    def _fail_in_children(self, monkeypatch):
         monkeypatch.setattr(io, "_cpu_count", lambda: 3)
         real_format = io._format_rows
 
@@ -396,17 +397,39 @@ class TestParallelEmit:
             return real_format(fh, columns, lo, hi)
 
         monkeypatch.setattr(io, "_format_rows", format_rows)
-        out = tmp_path / "rows.csv"
-        if existing:
-            out.write_bytes(b"kept\r\n")
+
+    def test_failing_child_raises(self, tmp_path, monkeypatch, forks):
+        self._fail_in_children(monkeypatch)
         cols = [np.arange(30) / 3.0]
         with pytest.raises(OSError, match=r"rows 10\.\.19 exited with status 1"):
-            io._write_rows(out, ["a_x"], cols)
+            io._write_rows(tmp_path / "rows.csv", ["a_x"], cols)
         assert len(forks) == 2
-        # no partial output: the temporary file is gone, the old one untouched
-        assert os.listdir(tmp_path) == (["rows.csv"] if existing else [])
-        if existing:
-            assert out.read_bytes() == b"kept\r\n"
+        assert os.listdir(tmp_path) == []  # no partial output, no temporary file
+
+    def test_failing_child_leaves_existing_output(self, tmp_path, monkeypatch, forks):
+        self._fail_in_children(monkeypatch)
+        out = tmp_path / "rows.csv"
+        out.write_bytes(b"kept\r\n")
+        with pytest.raises(OSError, match=r"rows 10\.\.19 exited with status 1"):
+            io._write_rows(out, ["a_x"], [np.arange(30) / 3.0])
+        assert os.listdir(tmp_path) == ["rows.csv"] and out.read_bytes() == b"kept\r\n"
+
+    def test_symlink_and_pipe_are_written_through(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"old\r\n")
+        (tmp_path / "link.csv").symlink_to(target)
+        io._write_rows(tmp_path / "link.csv", ["a_x"], [np.arange(3.0)])
+        assert (tmp_path / "link.csv").is_symlink()
+        assert target.read_bytes() == b"a_x\r\n0\r\n1\r\n2\r\n"
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        io._write_rows(fifo, ["a_x"], [np.arange(3.0)])
+        reader.join(timeout=30)
+        assert got == [b"a_x\r\n0\r\n1\r\n2\r\n"] and stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "pipe", "target.csv"]
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_failing_row_source_leaves_no_output(self, tmp_path, monkeypatch, forks, cpus):
