@@ -69,10 +69,9 @@ _SLOT = 32  # text bytes per value: at most 25 with its separator
 def _text_tables():
     """Digit groups and the per-exponent slot layout of _csv_text, read-only.
 
-    Built on the first write, not at import: in a command that writes
-    little the import sets the peak RSS, and building the tables there
-    raised `simulate`'s by ~0.7 MB (NumPy maps more of its code on each
-    operation's first use).
+    Built on the first write, not at import, where they raised the
+    peak RSS of `estimate` by ~0.2 MB more (NumPy maps more of its code
+    on each operation's first use).
     """
     chars = np.frombuffer(("%04d" * 10000 % tuple(range(10000))).encode(), np.uint8)
     chars = chars.reshape(10000, 4)
