@@ -347,6 +347,7 @@ def _format_in_child(tmp, sink, rows, lo, hi):
     finally:
         os._exit(code)
 
+
 def write_trace_csv(path, trace: OracleTrace) -> None:
     """Emit a pressure trace; truth columns included when available."""
     header = list(TRACE_BASE_COLUMNS)
