@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import functools
 import itertools
 import math
 import os
+import stat
 import types
 import warnings
 from io import TextIOWrapper
@@ -262,26 +264,25 @@ def _header_line(header) -> bytes:
 def _write_row_blocks(path, header, n, rows):
     """_write_rows for the n rows of a row-block source; returns their tally.
 
-    The rows are computed and formatted on every CPU the process may use,
-    one contiguous range per worker, up to one worker per chunk of rows;
-    the file's bytes do not depend on the number of workers (see _format_rows).
-    They go to `<file>.<pid>.tmp` beside the file `path` names (through
-    any symlink), renamed over it once complete: when anything fails the
-    temporary file is removed, and the file is left as it was. A path
-    that exists but is no regular file (a device such as /dev/null, or
-    a pipe) is written in place, never replaced.
+    They are computed and formatted on every CPU the process may use (see
+    _format_ranges) into `<file>.<pid>.tmp` beside the file `path` names
+    (through any symlink), renamed over it once complete with its mode:
+    on any failure the temporary file is removed and the file left as it
+    was. A file this process may not write is refused; a path that exists
+    but is no regular file (/dev/null, a pipe) is written in place.
     """
-    workers = min(_cpu_count(), -(-n // _CHUNK_ROWS))
     out = os.path.realpath(path)
     tmp = out if os.path.exists(out) and not os.path.isfile(out) else f"{out}.{os.getpid()}.tmp"
+    mode = stat.S_IMODE(os.stat(out).st_mode) if os.path.isfile(out) else None
+    if mode is not None and not os.access(out, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
     try:
         with open(tmp, "wb") as fh:
             fh.write(_header_line(header))
-            if workers < 2 or not hasattr(os, "fork"):
-                total = _format_rows(fh, rows, 0, n)
-            else:
-                total = _write_rows_forked(fh, rows, n, workers)
+            total = _format_ranges(fh, rows, n)
         if tmp != out:
+            if mode is not None:
+                os.chmod(tmp, mode)
             os.replace(tmp, out)
     except BaseException:
         if tmp != out:
@@ -291,61 +292,80 @@ def _write_row_blocks(path, header, n, rows):
     return total
 
 
-def _write_rows_forked(fh, rows, n, workers):
-    """Format rows in `workers` processes: the parent and forked children.
+def _format_ranges(fh, rows, n):
+    """_format_rows of rows 0..n-1 into `fh`, one range per worker and chunk at most.
 
-    Each range after the first is computed and formatted by a child into
-    its own temporary file, and its tally sent through a pipe; the parent
-    does the first range into `fh`, waits for every child and appends their
-    files and tallies in order. The header is flushed before forking so no
-    child holds buffered text, and a child leaves through os._exit, which
-    runs no cleanup or buffer flush inherited from the parent.
+    This process formats the first range, and a forked child each later
+    one: its text, then its tally's doubles, appended here in order. A
+    range no child delivered is formatted here, so the bytes, the tally
+    and any error are those of a serial run.
     """
+    workers = min(_workers(), -(-n // _CHUNK_ROWS))
+    if workers < 2:
+        return _format_rows(fh, rows, 0, n)
     import shutil
-    import tempfile
-
     bounds = [n * k // workers for k in range(workers + 1)]
     _text_tables()  # built once, here, for every child to inherit
     fh.flush()
-    with contextlib.ExitStack() as files:
-        children = []  # (pid, temporary file, tally pipe, first row, end row)
+
+    def format_range(lo, hi, part):
+        part.write(np.asarray(_format_rows(part, rows, lo, hi), dtype=float).tobytes())
+    joins, parts = [], []
+    try:
         try:
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                tmp = files.enter_context(tempfile.TemporaryFile())
-                r, w = os.pipe()
-                tally = files.enter_context(open(r, "rb"))
-                with open(w, "wb") as sink:  # closed in the parent: EOF once the child exits
-                    pid = os.fork()
-                    if pid == 0:
-                        _format_in_child(tmp, sink, rows, lo, hi)
-                children.append((pid, tmp, tally, lo, hi))
+                joins.append(_forked(format_range, lo, hi))
             total = _format_rows(fh, rows, 0, bounds[1])
         finally:
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                     for pid, *_ in children]
-        for (_, tmp, tally, lo, hi), code in zip(children, codes):
-            if code != 0:
-                raise OSError(f"CSV writer process for rows {lo}..{hi - 1} "
-                              f"exited with status {code}")
-            total = total + np.frombuffer(tally.read())
-            tmp.seek(0)
-            shutil.copyfileobj(tmp, fh)
+            parts = [join() for join in joins]
+        for part, lo, hi in zip(parts, bounds[1:-1], bounds[2:]):
+            if part is None:
+                total = total + _format_rows(fh, rows, lo, hi)
+            else:  # a tally is as long as this process's own
+                end = part.seek(-total.nbytes, os.SEEK_END)
+                total = total + np.frombuffer(part.read())
+                part.truncate(end)
+                part.seek(0)
+                shutil.copyfileobj(part, fh)
+    finally:
+        for part in filter(None, parts):
+            part.close()
     return total
 
 
-def _format_in_child(tmp, sink, rows, lo, hi):
-    """Forked child: rows lo..hi-1 into `tmp`, their tally into `sink`; never returns."""
-    code = 1
-    try:
-        total = _format_rows(tmp, rows, lo, hi)
-        tmp.flush()
-        os.write(sink.fileno(), np.asarray(total, dtype=float).tobytes())
-        code = 0
-    except BaseException:  # reported here; the parent raises on the status
-        import traceback
-        traceback.print_exc()
-    finally:
-        os._exit(code)
+def _workers() -> int:
+    """Processes a CSV stage may use: the CPUs, or 1 where there is no fork."""
+    return _cpu_count() if hasattr(os, "fork") else 1
+
+
+def _forked(work, *args):
+    """Run work(*args, fh) in a forked child, fh an unnamed temporary file; return join.
+
+    join() waits for the child and returns fh at offset 0, or None if the
+    file or the process could not be made or the child did not exit with
+    status 0. The child leaves by os._exit: flush files before the fork.
+    """
+    import tempfile
+    fh = pid = None
+    with contextlib.suppress(OSError):  # no file, or no process (EAGAIN under a process limit)
+        fh = tempfile.TemporaryFile()
+        pid = os.fork()
+    if pid == 0:
+        try:
+            work(*args, fh)
+            fh.flush()
+            os._exit(0)
+        finally:  # reached on an exception only
+            os._exit(1)
+
+    def join():
+        if pid is not None and os.waitpid(pid, 0)[1] == 0:  # exited with status 0
+            fh.seek(0)
+            return fh
+        if fh is not None:
+            fh.close()
+        return None
+    return join
 
 
 def write_trace_csv(path, trace: OracleTrace) -> None:
@@ -428,19 +448,14 @@ def _read_columns(path, fh, header_lines: int, n_fields: int, keep: list) -> lis
     for an upper bound on the rows (one per line); its pages past the last
     row are never written, so they stay out of the resident set.
 
-    With two CPUs or more, fork and 2 * _READ_ROWS lines, a forked child
-    parses the lines after a line end near the middle of the file while
-    this process parses those before it (see _parse_halves). The result is
-    that of one serial parse, and a fault in either half is reported as
-    the serial parse reports it: by _raise_row_error, which names the
-    first bad row in the file.
+    Given two workers (_workers) and 2 * _READ_ROWS lines, a forked child parses
+    the second half (_parse_halves); a fault reads as in the serial parse.
     """
     bound, split, lines = _scan_lines(path)
-    lines -= header_lines
+    lines -= header_lines  # data lines before the split; none without a split
     columns = [np.empty(bound) for _ in keep]
     try:
-        if (split is not None and lines > 0 and bound - header_lines >= 2 * _READ_ROWS
-                and _cpu_count() >= 2 and hasattr(os, "fork")):
+        if lines > 0 and bound - header_lines >= 2 * _READ_ROWS and _workers() >= 2:
             n = _parse_halves(path, fh, split, lines, n_fields, keep, columns)
         else:
             n = _parse(path, fh, n_fields, keep, columns)[0]
@@ -541,57 +556,41 @@ def _parse_halves(path, fh, split: int, lines: int, n_fields: int, keep: list,
                   columns: list) -> int:
     """Parse the next `lines` lines of `fh` here, those from byte `split` in a child.
 
-    The forked child parses into its own copy of `columns` and sends its
-    rows through a pipe (see _parse_in_child); they go into `columns`
-    after this process's rows, with the step across the split. Should the
-    child fail, its half is parsed here, for its rows or its fault.
-    Returns the number of rows.
+    The forked child (_parse_tail) parses into its copy of `columns`; its
+    rows are read in after this process's, with the step across the split.
+    A half the child did not deliver is parsed here, for its rows or its
+    fault. Returns the number of rows.
     """
-    r, w = os.pipe()
-    with open(r, "rb") as source:
-        with open(w, "wb") as sink:  # closed here: EOF once the child exits
-            pid = os.fork()
-            if pid == 0:
-                source.close()  # else the child holds its own pipe open
-                _parse_in_child(sink, path, split, n_fields, keep, columns)
-        try:
-            n, _, last = _parse(path, itertools.islice(fh, lines), n_fields, keep, columns)
-            head = np.empty(2)  # the child's row count and first time
-            if source.readinto(head) == head.nbytes:
-                m, first = int(head[0]), head[1]
-                if n + m > len(columns[1]):
-                    raise CsvFormatError(f"{path}: file grew while it was read")
-                parts = [columns[0][n:n + m - 1]] + [c[n:n + m] for c in columns[1:]]
-                if all(source.readinto(part) == part.nbytes for part in parts):
-                    head = None
-        finally:
-            source.close()  # a child still writing gets EPIPE and exits
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if head is not None or code != 0:
+    join = _forked(_parse_tail, path, split, n_fields, keep, columns)
+    try:
+        n, _, last = _parse(path, itertools.islice(fh, lines), n_fields, keep, columns)
+    except BaseException:
+        if part := join():
+            part.close()
+        raise
+    part = join()
+    if part is None:
         m, first, _ = _parse_from(path, split, n_fields, keep, [c[n:] for c in columns])
+    else:
+        with part:
+            m, first = np.frombuffer(part.read(16))
+            m = int(m)
+            if n + m > len(columns[1]):
+                raise CsvFormatError(f"{path}: file grew while it was read")
+            for column in [columns[0][n:n + m - 1]] + [c[n:n + m] for c in columns[1:]]:
+                part.readinto(column)
     if n and m:
         columns[0][n - 1] = first - last
     return n + m
 
 
-def _parse_in_child(sink, path, split: int, n_fields: int, keep: list, columns: list):
-    """Forked child: parse from byte `split`, send the rows to `sink`; never returns.
+def _parse_tail(path, split: int, n_fields: int, keep: list, columns: list, fh):
+    """A forked reader's work: rows from byte `split` into `fh` (count, first t, columns)."""
+    m, first, _ = _parse_from(path, split, n_fields, keep, columns)
+    fh.write(np.array([m, first if m else 0.0]))
+    for column in [columns[0][:max(m - 1, 0)]] + [c[:m] for c in columns[1:]]:
+        fh.write(column)
 
-    Sends the row count and the first time as two doubles, then the
-    steps and the other kept columns; on a failure it exits with status 1
-    and the parent parses this half again.
-    """
-    code = 1
-    try:
-        m, first, _ = _parse_from(path, split, n_fields, keep, columns)
-        sink.write(np.array([m, first if m else 0.0]).tobytes())
-        sink.write(columns[0][:max(m - 1, 0)])
-        for column in columns[1:]:
-            sink.write(column[:m])
-        sink.flush()
-        code = 0
-    finally:
-        os._exit(code)
 
 def _is_number(field: str) -> bool:
     """Whether numpy's tokenizer reads `field` as a float.

@@ -11,7 +11,10 @@ output is compared with the unpatched run, where the trace is one block.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import math
+import os
+import signal
 import tracemalloc
 import warnings
 
@@ -97,6 +100,40 @@ def test_cli_files_equal_unpatched_bytes(case, monkeypatch, capsys, size):
     for name, (code, data) in case["ref"].items():
         assert got[name][0] == code == 0, name
         assert got[name][1] == data, name
+
+
+@pytest.mark.parametrize("failure", ["no-fork", "reader-killed", "writer-killed"])
+def test_cli_files_equal_unpatched_bytes_when_workers_fail(case, monkeypatch, capsys,
+                                                           failure):
+    # At 500-row blocks each call forks once to read and once to write; the
+    # parent does every range a child did not deliver.
+    _patch(monkeypatch, 500)
+    monkeypatch.setattr(io, "_cpu_count", lambda: 2)
+    parent, real_fork, forks = os.getpid(), os.fork, []
+
+    def fork():
+        forks.append(1)
+        if failure == "no-fork":  # what a process limit returns
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+    monkeypatch.setattr(io.os, "fork", fork)
+    if failure != "no-fork":
+        name = "_parse" if failure == "reader-killed" else "_format_rows"
+        real = getattr(io, name)
+
+        def killed(*args):
+            if os.getpid() != parent:  # the child dies; the parent's redo does not
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+        monkeypatch.setattr(io, name, killed)
+    got = _cli_outputs(case["dir"], failure)
+    capsys.readouterr()
+    assert len(forks) == 2 * len(case["ref"])
+    for name, (code, data) in case["ref"].items():
+        assert got[name][0] == code == 0, name
+        assert got[name][1] == data, name
+    with pytest.raises(ChildProcessError):  # every child waited for
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("size", SIZES)

@@ -86,6 +86,17 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, *command, *(x for kv in paths.items() for x in kv))
         assert code == 3 and err.startswith("input error: ") and error in err
 
+    def test_unwritable_out_is_input_error(self, capsys, monkeypatch, trace_file, tmp_path):
+        out = tmp_path / "o.csv"
+        out.write_bytes(b"kept\r\n")
+        real_access = os.access  # root may write any file, so refuse it here
+        monkeypatch.setattr(os, "access", lambda path, mode, **kw: (
+            os.fspath(path) != str(out) and real_access(path, mode, **kw)))
+        code, _, err = run_cli(capsys, "estimate", "--trace", trace_file, "--out", str(out))
+        assert code == 3 and err.startswith("input error: ") and "Permission denied" in err
+        assert out.read_bytes() == b"kept\r\n"
+        assert sorted(os.listdir(tmp_path)) == ["o.csv", "trace.csv"]
+
     def test_malformed_trace_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("t_s,p1_pa\n0,800000\n0.01,not-a-number\n")

@@ -392,16 +392,17 @@ class TestParallelEmit:
         real_format = io._format_rows
 
         def format_rows(fh, columns, lo, hi):
-            if lo > 0:  # only the forked children format later ranges
+            if lo > 0:  # the later ranges: each child's, then this process's redo
                 raise RuntimeError("formatter failed")
             return real_format(fh, columns, lo, hi)
 
         monkeypatch.setattr(io, "_format_rows", format_rows)
 
     def test_failing_child_raises(self, tmp_path, monkeypatch, forks):
+        # the parent formats rows 10..19 again and meets the serial run's error
         self._fail_in_children(monkeypatch)
         cols = [np.arange(30) / 3.0]
-        with pytest.raises(OSError, match=r"rows 10\.\.19 exited with status 1"):
+        with pytest.raises(RuntimeError, match="formatter failed"):
             io._write_rows(tmp_path / "rows.csv", ["a_x"], cols)
         assert len(forks) == 2
         assert os.listdir(tmp_path) == []  # no partial output, no temporary file
@@ -410,7 +411,7 @@ class TestParallelEmit:
         self._fail_in_children(monkeypatch)
         out = tmp_path / "rows.csv"
         out.write_bytes(b"kept\r\n")
-        with pytest.raises(OSError, match=r"rows 10\.\.19 exited with status 1"):
+        with pytest.raises(RuntimeError, match="formatter failed"):
             io._write_rows(out, ["a_x"], [np.arange(30) / 3.0])
         assert os.listdir(tmp_path) == ["rows.csv"] and out.read_bytes() == b"kept\r\n"
 
@@ -430,6 +431,15 @@ class TestParallelEmit:
         reader.join(timeout=30)
         assert got == [b"a_x\r\n0\r\n1\r\n2\r\n"] and stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert sorted(os.listdir(tmp_path)) == ["link.csv", "pipe", "target.csv"]
+
+    def test_existing_output_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        for mode in (0o600, 0o640, 0o755):
+            out.write_bytes(b"old\r\n")
+            os.chmod(out, mode)
+            io._write_rows(out, ["a_x"], [np.arange(3.0)])
+            assert stat.S_IMODE(os.stat(out).st_mode) == mode
+            assert out.read_bytes() == b"a_x\r\n0\r\n1\r\n2\r\n"
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_failing_row_source_leaves_no_output(self, tmp_path, monkeypatch, forks, cpus):
@@ -621,7 +631,35 @@ class TestSplitIngest:
         monkeypatch.setattr(io, "_cpu_count", lambda: 1)
         ref, ref_truth = io.read_trace_csv(path)
         monkeypatch.setattr(io, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(io, "_parse_in_child", lambda *args: os._exit(1))
+        monkeypatch.setattr(io, "_parse_tail", lambda *args: os._exit(1))
         back, truth = io.read_trace_csv(path)
         assert np.array_equal(back.samples, ref.samples) and back.dt == ref.dt
         assert np.array_equal(truth["h_truth_m"], ref_truth["h_truth_m"])
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_child_outlives_a_forked_stage(tmp_path, monkeypatch, trace):
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(io.os, "fork", lambda: forks.append(1) or real_fork())
+    monkeypatch.setattr(io, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(io, "_CHUNK_ROWS", 64)
+    monkeypatch.setattr(io, "_READ_ROWS", 64)
+    path = tmp_path / "trace.csv"
+    io.write_trace_csv(path, trace)  # 1 441 rows: two children
+    _no_child_left()
+    back, _ = io.read_trace_csv(path)  # one child
+    assert np.array_equal(back.samples, trace.p1)
+    _no_child_left()
+
+    def rows(lo, hi):
+        if lo < 64:  # the first block of this process's own range
+            raise RuntimeError("row source failed")
+        return [np.arange(lo, hi) / 3.0], ()
+    with pytest.raises(RuntimeError, match="row source failed"):
+        io._write_row_blocks(tmp_path / "rows.csv", ["a_x"], 300, rows)  # two children
+    _no_child_left()
+    assert len(forks) == 5
