@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: simulate, estimate, build-table, wheel-load, bench, validate.
-Exit codes: 0 success, 2 usage error, 3 input-format error, 4 numerical
-failure, 5 validation-suite failure.
+Exit codes: 0 success, 2 parameter, 3 input and 4 numerical error (the
+classes of `hpsusp.errors`; an OSError is an input error), 5 validation-suite
+failure. Any other exception is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import sys
 import warnings
 
-from . import config, estimator, io, lookup, metrics, oracle, validate, wheel
+from . import config, errors, estimator, io, lookup, metrics, oracle, validate, wheel
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -29,8 +30,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-class UsageError(ValueError):
-    pass
+class UsageError(errors.ParameterError):
+    """A flag the command cannot run with."""
 
 
 def _load_config(args) -> config.RunConfig:
@@ -52,43 +53,30 @@ def _add_config_flags(p):
                    help="oil/gas operating temperature, degC (default: 30)")
 
 
-def _positive_float(text: str) -> float:
+def _number(text: str, low: float = 0.0) -> float:
+    """float(text) if it lies above `low` and is finite; else ValueError."""
     value = float(text)
-    if not 0.0 < value < math.inf:
+    if not low < value < math.inf:
         raise ValueError(text)
     return value
 
 
-def _temperature_arg(text: str) -> float:
-    """--t0: a finite temperature above absolute zero, degC."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not -273.15 < value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be a finite temperature above -273.15 degC, got {text!r}")
-    return value
+def _flag_type(convert, message: str):
+    """An argparse type: convert(text), or the error `message` where that raises ValueError."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{message}, got {text!r}") from None
+    return parse
 
 
-def _omega_arg(text: str):
-    """--omega: 'auto' or a positive finite blend frequency in rad/s."""
-    if text == "auto":
-        return text
-    try:
-        return _positive_float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be 'auto' or a positive finite number, got {text!r}") from None
-
-
-def _frequencies_arg(text: str) -> tuple:
-    """--frequencies: comma-separated positive finite Hz values."""
-    try:
-        return tuple(_positive_float(f) for f in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be comma-separated positive finite numbers, got {text!r}") from None
+_temperature_arg = _flag_type(lambda text: _number(text, -273.15),  # --t0, degC
+                              "must be a finite temperature above -273.15 degC")
+_omega_arg = _flag_type(lambda text: text if text == "auto" else _number(text),  # rad/s
+                        "must be 'auto' or a positive finite number")
+_frequencies_arg = _flag_type(lambda text: tuple(_number(f) for f in text.split(",")),  # Hz
+                              "must be comma-separated positive finite numbers")
 
 
 def cmd_simulate(args) -> int:
@@ -106,12 +94,8 @@ def cmd_simulate(args) -> int:
         raise UsageError("--freq-end applies only to --kind linear-sweep")
     freqs = (args.freq,) if args.freq_end is None else (args.freq, args.freq_end)
     duration = args.duration if args.duration is not None else 20.0 / min(freqs)
-    try:
-        exc = oracle.Excitation(kind=args.kind, amplitudes=(args.amp,),
-                                frequencies=freqs, duration=duration,
-                                offset=args.offset)
-    except ValueError as err:  # the flags describe no valid excitation
-        raise UsageError(str(err)) from None
+    exc = oracle.Excitation(kind=args.kind, amplitudes=(args.amp,), frequencies=freqs,
+                            duration=duration, offset=args.offset)
     if args.quarter_car:
         trace = oracle.simulate_quarter_car(exc, cfg.quarter_car, args.dt)
     else:
@@ -138,9 +122,8 @@ def cmd_estimate(args) -> int:
         sse = io.write_breakdown_csv(args.out, trace, est, truth)
     print(f"wrote {args.out}")
     if truth is not None:
-        rel = metrics.rel_rmse_sse(sse, truth)
-        r2 = metrics.r_squared_sse(sse, truth)
-        print(f"vs embedded truth: rel RMSE {rel:.3%}, R2 {r2:.4f}")
+        _print_truth_comparison(lambda: f"rel RMSE {metrics.rel_rmse_sse(sse, truth):.3%}, "
+                                        f"R2 {metrics.r_squared_sse(sse, truth):.4f}")
     return EXIT_OK
 
 
@@ -170,9 +153,18 @@ def cmd_wheel_load(args) -> int:
         warnings.warn(f"wheel load negative at {count} sample(s): liftoff", wheel.WheelLiftoffWarning)
     print(f"wrote {args.out}: {series.n} samples, {count} liftoff sample(s)")
     if truth is not None:
-        rel = metrics.rel_rmse_mean_sse(sse, truth)
-        print(f"vs embedded truth: rel RMSE {rel:.3%} of mean load")
+        _print_truth_comparison(
+            lambda: f"rel RMSE {metrics.rel_rmse_mean_sse(sse, truth):.3%} of mean load")
     return EXIT_OK
+
+
+def _print_truth_comparison(describe) -> None:
+    """Print describe()'s comparison, or why a truth column leaves it undefined."""
+    try:
+        text = describe()
+    except errors.NumericalError as exc:  # a constant or zero-mean truth column
+        text = f"undefined ({exc})"
+    print(f"vs embedded truth: {text}")
 
 
 def cmd_bench(args) -> int:
@@ -273,20 +265,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+    except errors.ParameterError as exc:
+        print(f"{exc.label} error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except config.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (io.CsvFormatError, lookup.TableFormatError, FileNotFoundError,
-            IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+    except (errors.InputError, OSError) as exc:  # OSError: a path, or a full disk
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (oracle.StrokeError, oracle.InstabilityError,
-            estimator.NoDominantFrequencyError, lookup.TableCoverageError,
-            lookup.TimeBaseError, wheel.GeometrySingularityError,
-            ValueError) as exc:
+    except errors.NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from .core import FluidProperties, FrictionParams, GasChargeState, SuspensionGeometry
+from .errors import ConfigError
 
 __all__ = [
     "SuspensionConfig",
@@ -41,10 +42,6 @@ GRAVITY = 9.81
 # Oil viscosity anchor points from the two-temperature characterization.
 _MU_30 = 0.065
 _MU_50 = 0.032
-
-
-class ConfigError(ValueError):
-    """Bad or unknown configuration key/value."""
 
 
 def oil_viscosity(t_celsius: float) -> float:
@@ -102,13 +99,13 @@ class WheelLinkage:
 
     def __post_init__(self):
         if not (self.l_lower > self.l_eff > 0.0):
-            raise ValueError("need l_lower > l_eff > 0")
+            raise ConfigError("need l_lower > l_eff > 0")
         if abs(self.alpha0) >= math.pi / 4:
-            raise ValueError("lower-arm installation angle out of range")
+            raise ConfigError("lower-arm installation angle out of range")
         if self.m_u <= 0.0 or self.m_t <= 0.0:
-            raise ValueError("masses must be positive")
+            raise ConfigError("masses must be positive")
         if self.m_t > self.m_u:
-            raise ValueError("tire mass cannot exceed the unsprung mass")
+            raise ConfigError("tire mass cannot exceed the unsprung mass")
 
     def static_ratio(self) -> float:
         """Suspension transmission ratio at the static position (theta = 0)."""
@@ -131,7 +128,7 @@ class QuarterCarParams:
 
     def __post_init__(self):
         if min(self.m_s, self.k_t) <= 0.0 or self.c_t < 0.0:
-            raise ValueError("sprung mass and tire stiffness must be positive")
+            raise ConfigError("sprung mass and tire stiffness must be positive")
 
     @property
     def m_u(self) -> float:
@@ -155,9 +152,9 @@ class TableBuildSettings:
 
     def __post_init__(self):
         if not all(0.0 < f < math.inf for f in self.frequencies_hz):
-            raise ValueError("table frequencies must be positive and finite")
+            raise ConfigError("table frequencies must be positive and finite")
         if not (0.0 < self.dt < math.inf and 0.0 < self.amplitude_scale < math.inf):
-            raise ValueError("table dt and amplitude scale must be positive and finite")
+            raise ConfigError("table dt and amplitude scale must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -234,10 +231,7 @@ PRESET_NAMES = tuple(_PRESETS)
 def preset(name: str, t0: float = 30.0) -> RunConfig:
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    try:
-        return _PRESETS[name](t0)
-    except ValueError as exc:  # a part's range check, e.g. a t0 whose mu is 0
-        raise ConfigError(str(exc)) from None
+    return _PRESETS[name](t0)
 
 
 # ---------------------------------------------------------------------------
@@ -329,30 +323,34 @@ def load_run_config(path) -> RunConfig:
     """Load a RunConfig from a flat key-value file.
 
     A ``preset`` key selects the base configuration; all other keys
-    override individual fields. Unknown keys, and a key given twice,
-    raise ConfigError.
+    override individual fields. Unknown keys, a key given twice and a
+    file that is not UTF-8 text raise ConfigError.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     overrides = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = (s.strip() for s in line.split("=", 1))
-            if key != "preset" and key not in _KEY_MAP:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in overrides:
-                raise ConfigError(f"{path}:{lineno}: key {key!r} given twice")
-            try:
-                overrides[key] = raw if key == "preset" else _parse_value(key, raw)
-            except ConfigError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, raw = (s.strip() for s in line.split("=", 1))
+        if key != "preset" and key not in _KEY_MAP:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in overrides:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} given twice")
+        try:
+            overrides[key] = raw if key == "preset" else _parse_value(key, raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     base_name = overrides.pop("preset", "bench-prototype")
     try:
         return _build_run_config(base_name, overrides)
-    except ValueError as exc:  # a field's range check, or an unknown preset
+    except ConfigError as exc:  # a field's range check, or an unknown preset
         raise ConfigError(f"{path}: {exc}") from exc
 
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = [
     "FluidProperties",
     "SuspensionGeometry",
@@ -51,11 +53,11 @@ class FluidProperties:
 
     def __post_init__(self):
         if self.rho <= 0.0 or self.mu <= 0.0 or self.k_bulk <= 0.0:
-            raise ValueError("fluid density, viscosity and bulk modulus must be positive")
+            raise ConfigError("fluid density, viscosity and bulk modulus must be positive")
         if self.gamma <= 1.0:
-            raise ValueError("gas adiabatic index must exceed 1")
+            raise ConfigError("gas adiabatic index must exceed 1")
         if self.p_atm <= 0.0:
-            raise ValueError("atmospheric pressure must be positive")
+            raise ConfigError("atmospheric pressure must be positive")
 
 
 @dataclass(frozen=True)
@@ -81,13 +83,13 @@ class SuspensionGeometry:
                     self.h_gap, self.d_piston, self.l_piston, self.l_ch,
                     self.k_orif, self.v0_gas, self.v0_oil)
         if any(x <= 0.0 for x in positive):
-            raise ValueError("all areas, lengths, volumes and coefficients must be positive")
+            raise ConfigError("all areas, lengths, volumes and coefficients must be positive")
         if self.n_valve < 1:
-            raise ValueError("need at least one valve set (n_valve >= 1)")
+            raise ConfigError("need at least one valve set (n_valve >= 1)")
         if abs(self.a3 - (self.a1 - self.a2)) > 1e-9:
-            raise ValueError("annular area a3 must equal a1 - a2 (within 1e-9 m^2)")
+            raise ConfigError("annular area a3 must equal a1 - a2 (within 1e-9 m^2)")
         if self.h_gap >= self.d_piston:
-            raise ValueError("radial clearance must be small compared with the piston diameter")
+            raise ConfigError("radial clearance must be small compared with the piston diameter")
 
     @property
     def d_ch(self) -> float:
@@ -107,11 +109,11 @@ class GasChargeState:
 
     def __post_init__(self):
         if self.p0 <= 0.0:
-            raise ValueError("charge pressure must be positive")
+            raise ConfigError("charge pressure must be positive")
         if not -273.15 < self.t0 < math.inf:
-            raise ValueError("operating temperature must be finite and above -273.15 degC")
+            raise ConfigError("operating temperature must be finite and above -273.15 degC")
         if self.omega_c <= 0.0:
-            raise ValueError("corner frequency must be positive")
+            raise ConfigError("corner frequency must be positive")
 
 
 @dataclass(frozen=True)
@@ -126,9 +128,9 @@ class FrictionParams:
 
     def __post_init__(self):
         if not (self.f_static >= self.f_coulomb >= 0.0):
-            raise ValueError("need f_static >= f_coulomb >= 0")
+            raise ConfigError("need f_static >= f_coulomb >= 0")
         if self.v_stribeck <= 0.0 or self.beta_fric <= 0.0 or self.k_v < 0.0:
-            raise ValueError("v_stribeck and beta_fric must be positive, k_v non-negative")
+            raise ConfigError("v_stribeck and beta_fric must be positive, k_v non-negative")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import core
 from .config import SuspensionConfig
+from .errors import InputError, NumericalError
 
 __all__ = [
     "PressureTrace",
@@ -31,7 +32,7 @@ _FFT_SAMPLES = 65536     # window samples per batched FFT; bounds the window sta
 _BLOCK_ROWS = 8192       # rows per chain evaluation when cavitation is counted
 
 
-class NoDominantFrequencyError(ValueError):
+class NoDominantFrequencyError(NumericalError):
     """The pressure signal has no usable non-DC spectral peak."""
 
 
@@ -45,11 +46,11 @@ class PressureTrace:
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
         if not 0.0 < self.dt < np.inf:
-            raise ValueError("sampling period must be positive and finite")
+            raise InputError("sampling period must be positive and finite")
         if self.samples.ndim != 1 or self.samples.size < MIN_TRACE_LEN:
-            raise ValueError(f"need a 1-D trace of at least {MIN_TRACE_LEN} samples")
+            raise InputError(f"need a 1-D trace of at least {MIN_TRACE_LEN} samples")
         if not np.all((self.samples > 0.0) & (self.samples < np.inf)):
-            raise ValueError("pressure samples must all be positive and finite")
+            raise InputError("pressure samples must all be positive and finite")
 
     @property
     def n(self) -> int:

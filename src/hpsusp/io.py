@@ -22,6 +22,7 @@ from io import TextIOWrapper
 import numpy as np
 
 from . import metrics
+from .errors import InputError
 from .estimator import MIN_TRACE_LEN, ForceBreakdown, PressureTrace
 from .lookup import SeriesEstimate
 from .oracle import OracleTrace
@@ -47,7 +48,7 @@ TRACE_TRUTH_COLUMNS = ("f_out_truth_n", "v_truth_mps", "h_truth_m")
 TRACE_TIRE_COLUMN = "f_tire_truth_n"
 
 
-class CsvFormatError(ValueError):
+class CsvFormatError(InputError):
     """Malformed or non-uniform CSV input."""
 
 
@@ -395,6 +396,8 @@ def read_trace_csv(path, truth_columns=None):
         return _read_trace_csv(path, truth_columns)
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # a field longer than the csv module's limit
+        raise CsvFormatError(f"{path}: {exc}") from None
 
 
 def _read_trace_csv(path, truth_columns):

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import core, estimator, oracle
 from .config import SuspensionConfig, TableBuildSettings
+from .errors import InputError, NumericalError, ParameterError
 
 __all__ = [
     "LookupGrid",
@@ -60,7 +61,7 @@ MIN_COVERAGE = 0.30
 _BLOCK_ROWS = 4096   # samples per bilinear evaluation; bounds its temporaries
 
 
-class TableFormatError(ValueError):
+class TableFormatError(InputError):
     """Malformed serialized lookup table."""
 
 
@@ -76,11 +77,11 @@ class DigestMismatchError(TableFormatError):
     """Table was built for a different suspension configuration."""
 
 
-class TableCoverageError(RuntimeError):
+class TableCoverageError(NumericalError, RuntimeError):
     """Characterization sweep covered too little of the grid."""
 
 
-class TimeBaseError(ValueError):
+class TimeBaseError(NumericalError):
     """Query trace sampling period differs from the table's."""
 
 
@@ -92,8 +93,6 @@ def pressure_to_velocity(p, dp, dt: float, cfg: SuspensionConfig, n_eff: float):
     hence positive velocity.
     """
     p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0):
-        raise ValueError("gas pressure must be positive")
     if dt <= 0.0:
         raise ValueError("sampling period must be positive")
     v_gas = core.gas_volume(p, cfg.charge, cfg.geom, n_eff)
@@ -233,6 +232,8 @@ def _outer_sweep(cfg: SuspensionConfig, freq_hz: float,
                             frequencies=(freq_hz,), duration=20.0 / freq_hz,
                             offset=offset)
     p1 = oracle.simulate_suspension(exc, cfg, settings.dt, freq_for_n_eff=freq_hz).p1
+    if p1.size < 2:
+        raise NumericalError(f"{freq_hz:g} Hz: 20 cycles span under one dt={settings.dt:g} s step")
     skip = int(round(1.0 / (freq_hz * settings.dt)))
     return p1[skip:], core.differentiate(p1, 1.0)[skip:], offset, amp, n_eff
 
@@ -283,7 +284,7 @@ def build_table(cfg: SuspensionConfig,
     settings = settings or TableBuildSettings()
     freqs = sorted(float(f) for f in settings.frequencies_hz)
     if len(set(freqs)) < max(len(freqs), 2):
-        raise ValueError("need at least two distinct characterization frequencies")
+        raise NumericalError("need at least two distinct characterization frequencies")
 
     sweeps = [_outer_sweep(cfg, f, settings) for f in freqs]
     p_lo = min(float(p1.min()) for p1, *_ in sweeps)
@@ -429,11 +430,11 @@ def estimate_series(trace: estimator.PressureTrace, table: LookupTable,
     p1 = trace.samples
     if isinstance(omega, str):
         if omega != "auto":
-            raise ValueError("omega must be a float or 'auto'")
+            raise ParameterError("omega must be a float or 'auto'")
         starts, omegas = _tracked_runs(p1, trace.dt)
     else:
         if not np.isfinite(omega):
-            raise ValueError("omega must be finite")
+            raise ParameterError("omega must be finite")
         starts, omegas = np.zeros(1, dtype=np.intp), np.array([float(omega)])
 
     est = SeriesEstimate(p1=p1, table=table, run_starts=starts, run_omegas=omegas)
@@ -618,9 +619,9 @@ def benchmark(table: LookupTable, cfg: SuspensionConfig,
     alongside. Both paths process the same synthetic pressure trace.
     """
     if n_samples < 10000:
-        raise ValueError("benchmark needs at least 10000 samples")
+        raise ParameterError("benchmark needs at least 10000 samples")
     if repeats < 10:
-        raise ValueError("benchmark needs at least 10 repetitions")
+        raise ParameterError("benchmark needs at least 10 repetitions")
     dt = table.dt
     duration = max((n_samples - 1) * dt, 20.0 / freq_hz)
     amp = _amplitude_schedule(freq_hz, 0.8)

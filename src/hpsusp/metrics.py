@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from .errors import NumericalError
+
 __all__ = ["sse", "rmse", "rel_rmse", "rel_rmse_sse", "rel_rmse_mean",
            "rel_rmse_mean_sse", "r_squared", "r_squared_sse", "loop_area"]
 
@@ -30,7 +32,7 @@ def rel_rmse_sse(total: float, truth) -> float:
     truth = np.asarray(truth, dtype=float)
     span = float(truth.max() - truth.min())
     if span == 0.0:
-        raise ValueError("reference signal has zero range")
+        raise NumericalError("reference signal has zero range")
     return math.sqrt(total / truth.size) / span
 
 
@@ -47,7 +49,7 @@ def rel_rmse_mean_sse(total: float, truth) -> float:
     truth = np.asarray(truth, dtype=float)
     scale = abs(float(truth.mean()))
     if scale == 0.0:
-        raise ValueError("reference signal has zero mean")
+        raise NumericalError("reference signal has zero mean")
     return math.sqrt(total / truth.size) / scale
 
 
@@ -60,7 +62,7 @@ def r_squared_sse(total: float, truth) -> float:
     truth = np.asarray(truth, dtype=float)
     ss_tot = float(np.sum((truth - truth.mean()) ** 2))
     if ss_tot == 0.0:
-        raise ValueError("reference signal is constant")
+        raise NumericalError("reference signal is constant")
     return 1.0 - total / ss_tot
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import core
 from .config import QuarterCarParams, SuspensionConfig
+from .errors import NumericalError, ParameterError
 
 __all__ = [
     "Excitation",
@@ -35,11 +36,11 @@ __all__ = [
 _ROAD_BLOCK = 256
 
 
-class StrokeError(ValueError):
+class StrokeError(NumericalError):
     """Prescribed excitation exceeds the stroke or empties the gas chamber."""
 
 
-class InstabilityError(RuntimeError):
+class InstabilityError(NumericalError, RuntimeError):
     """Quarter-car integration diverged."""
 
 
@@ -60,9 +61,9 @@ class Excitation:
 
     def __post_init__(self):
         if self.kind not in ("sinusoid", "sum-of-sines", "linear-sweep"):
-            raise ValueError(f"unknown excitation kind {self.kind!r}")
+            raise ParameterError(f"unknown excitation kind {self.kind!r}")
         if not 0.0 < self.duration < math.inf:
-            raise ValueError("duration must be positive and finite")
+            raise ParameterError("duration must be positive and finite")
         if not self.phases:
             object.__setattr__(self, "phases", tuple(0.0 for _ in self.amplitudes))
         # The (amplitudes, frequencies, phases) each kind reads; a tone left
@@ -71,11 +72,11 @@ class Excitation:
         need = {"sinusoid": (1, 1, 1), "linear-sweep": (1, 2, 1)}.get(
             self.kind, (max(counts[0], 1),) * 3)
         if counts != need:
-            raise ValueError(f"{self.kind} needs {need} amplitudes, frequencies "
-                             f"and phases, got {counts}")
+            raise ParameterError(f"{self.kind} needs {need} amplitudes, frequencies "
+                                 f"and phases, got {counts}")
         n_cycles = self.duration * min(self.frequencies)
         if n_cycles < 20.0 - 1e-9:
-            raise ValueError("duration must cover at least 20 cycles of the lowest frequency")
+            raise ParameterError("duration must cover at least 20 cycles of the lowest frequency")
 
     @property
     def primary_frequency(self) -> float:
@@ -159,6 +160,13 @@ class OracleTrace:
         return PressureTrace(dt=self.dt, samples=self.p1.copy())
 
 
+def _sample_count(duration: float, dt: float) -> int:
+    """Samples of a run of `duration` s at step dt, both ends included."""
+    if not duration / dt < np.iinfo(np.intp).max // 8:  # a float64 array's limit
+        raise NumericalError(f"a {duration:g} s run at dt={dt:g} s has too many samples")
+    return int(round(duration / dt)) + 1
+
+
 def simulate_suspension(excitation: Excitation, cfg: SuspensionConfig,
                         dt: float, freq_for_n_eff: float | None = None) -> OracleTrace:
     """Prescribed-displacement forward run of one suspension unit.
@@ -167,8 +175,7 @@ def simulate_suspension(excitation: Excitation, cfg: SuspensionConfig,
     (no spectral estimate), eliminating that error source from closed-loop
     comparisons.
     """
-    n = int(round(excitation.duration / dt)) + 1
-    t = np.arange(n) * dt
+    t = np.arange(_sample_count(excitation.duration, dt)) * dt
     h = excitation.displacement(t)
     v = excitation.velocity(t)
     a = excitation.acceleration(t)
@@ -198,7 +205,7 @@ def static_gas_offset(cfg: SuspensionConfig, static_force: float, n_eff: float) 
     geom, fluid, charge = cfg.geom, cfg.fluid, cfg.charge
     p_static = fluid.p_atm + static_force / (geom.a1 - geom.a2)
     if p_static <= charge.p0:
-        raise ValueError("static load must raise the pressure above the charge value")
+        raise NumericalError("static load must raise the pressure above the charge value")
     v_static = core.gas_volume(p_static, charge, geom, n_eff)
     return core.gas_displacement(v_static, geom)
 
@@ -284,7 +291,7 @@ def simulate_quarter_car(road: Excitation, params: QuarterCarParams,
         return ((i_sus * f_out - m_s * g) / m_s,
                 (f_tire - i_sus * f_out - m_u * g) / m_u)
 
-    n_out = int(round(duration / dt)) + 1
+    n_out = _sample_count(duration, dt)
     sub = 4
     h_step = dt / sub
     half = 0.5 * h_step

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import core, lookup
 from .config import WheelLinkage
+from .errors import NumericalError
 from .estimator import PressureTrace
 
 __all__ = [
@@ -35,7 +36,7 @@ COS_SINGULARITY = 0.1
 _BLOCK_ROWS = 8192       # rows per transmission-ratio check of the h pass
 
 
-class GeometrySingularityError(ValueError):
+class GeometrySingularityError(NumericalError):
     """Lower arm rotated into the transmission-ratio singularity."""
 
 

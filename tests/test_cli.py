@@ -578,3 +578,35 @@ def test_simulate_duration_below_20_cycles_is_usage_error(capsys, tmp_path):
     assert code == 2
     assert "usage error: duration must cover at least 20 cycles" in err
     assert not out.exists()
+
+
+def _with_constant_column(src, dst, column, value):
+    """Copy trace `src` to `dst` with `column` set to, or added as, `value` in every row."""
+    rows = [line.split(",") for line in open(src, encoding="utf-8").read().splitlines()]
+    if column not in rows[0]:
+        for row in rows:
+            row.append("")
+        rows[0][-1] = column
+    k = rows[0].index(column)
+    for row in rows[1:]:
+        row[k] = value
+    dst.write_text("\n".join(",".join(row) for row in rows) + "\n", encoding="utf-8")
+    return str(dst)
+
+
+@pytest.mark.parametrize("argv, column, value, reason", [
+    (("estimate",), "f_out_truth_n", "1500.5", "reference signal has zero range"),
+    (("estimate", "--mode", "lookup"), "f_out_truth_n", "0", "reference signal has zero range"),
+    (("wheel-load",), "f_tire_truth_n", "0", "reference signal has zero mean"),
+])
+def test_undefined_truth_comparison_keeps_the_output(capsys, trace_file, table_file,
+                                                     tmp_path, argv, column, value, reason):
+    if argv != ("estimate",):
+        argv += ("--table", table_file)
+    flat = _with_constant_column(trace_file, tmp_path / "flat.csv", column, value)
+    out, want = tmp_path / "o.csv", tmp_path / "want.csv"
+    assert run_cli(capsys, *argv, "--trace", trace_file, "--out", str(want))[0] == 0
+    code, text, err = run_cli(capsys, *argv, "--trace", flat, "--out", str(out))
+    assert code == 0 and err == ""
+    assert text.splitlines()[-1] == f"vs embedded truth: undefined ({reason})"
+    assert out.read_bytes() == want.read_bytes()

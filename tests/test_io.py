@@ -616,6 +616,7 @@ class TestSplitIngest:
         monkeypatch.setattr(io, "_READ_ROWS", 4)
         forks, real_fork = [], os.fork
         monkeypatch.setattr(io.os, "fork", lambda: forks.append(1) or real_fork())
+        monkeypatch.setattr(io, "_cpu_count", lambda: 2)  # forks whatever the host's CPUs
         split = io.read_trace_csv(path)
         assert len(forks) == 1
         monkeypatch.setattr(io, "_cpu_count", lambda: 1)
