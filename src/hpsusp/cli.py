@@ -96,6 +96,10 @@ def cmd_simulate(args) -> int:
     duration = args.duration if args.duration is not None else 20.0 / min(freqs)
     exc = oracle.Excitation(kind=args.kind, amplitudes=(args.amp,), frequencies=freqs,
                             duration=duration, offset=args.offset)
+    n = oracle._sample_count(duration, args.dt)
+    if n < estimator.MIN_TRACE_LEN:
+        raise UsageError(f"a {duration:g} s run at --dt {args.dt:g} has {n} samples; "
+                         f"a trace needs at least {estimator.MIN_TRACE_LEN}")
     if args.quarter_car:
         trace = oracle.simulate_quarter_car(exc, cfg.quarter_car, args.dt)
     else:

@@ -38,9 +38,8 @@ __all__ = [
 ]
 
 _FMT = "%.17g"
-_CHUNK_ROWS = 8192      # rows computed at once, and worth a writer process of their own
+_BLOCK_ROWS = 8192      # rows per np.loadtxt call or computed at once; a stage forks at two
 _FORMAT_ROWS = 256      # rows per _csv_text call; bounds its temporaries (~300 B a value)
-_READ_ROWS = 8192       # data rows per np.loadtxt call; bounds the parse buffer
 _SCAN_BYTES = 1 << 20   # bytes per read of the line-counting pass
 
 TRACE_BASE_COLUMNS = ("t_s", "p1_pa")
@@ -235,13 +234,13 @@ def _format_rows(fh, rows, lo, hi):
     """Write rows lo..hi-1 of the row-block source `rows` to binary `fh`; return their tally.
 
     rows(a, b) returns the columns of rows a..b-1 and their tally, a tuple
-    of sums over them; it is called for _CHUNK_ROWS rows at a time, so a
+    of sums over them; it is called for _BLOCK_ROWS rows at a time, so a
     source that computes its rows holds one block of them. Each
     _FORMAT_ROWS rows are formatted at once by _csv_text.
     """
     total = 0.0
-    for a in range(lo, hi, _CHUNK_ROWS):
-        columns, tally = rows(a, min(a + _CHUNK_ROWS, hi))
+    for a in range(lo, hi, _BLOCK_ROWS):
+        columns, tally = rows(a, min(a + _BLOCK_ROWS, hi))
         total = total + np.array(tally, dtype=float)
         m = len(columns[0])
         for b in range(0, m, _FORMAT_ROWS):
@@ -294,14 +293,14 @@ def _write_row_blocks(path, header, n, rows):
 
 
 def _format_ranges(fh, rows, n):
-    """_format_rows of rows 0..n-1 into `fh`, one range per worker and chunk at most.
+    """_format_rows of rows 0..n-1 into `fh`, one range per worker (_workers).
 
     This process formats the first range, and a forked child each later
     one: its text, then its tally's doubles, appended here in order. A
     range no child delivered is formatted here, so the bytes, the tally
     and any error are those of a serial run.
     """
-    workers = min(_workers(), -(-n // _CHUNK_ROWS))
+    workers = _workers(n)
     if workers < 2:
         return _format_rows(fh, rows, 0, n)
     import shutil
@@ -334,9 +333,9 @@ def _format_ranges(fh, rows, n):
     return total
 
 
-def _workers() -> int:
-    """Processes a CSV stage may use: the CPUs, or 1 where there is no fork."""
-    return _cpu_count() if hasattr(os, "fork") else 1
+def _workers(rows: int) -> int:
+    """Processes for a CSV stage of `rows` rows: one per CPU and _BLOCK_ROWS block at most."""
+    return min(_cpu_count() if hasattr(os, "fork") else 1, -(-rows // _BLOCK_ROWS))
 
 
 def _forked(work, *args):
@@ -447,18 +446,18 @@ def _read_columns(path, fh, header_lines: int, n_fields: int, keep: list) -> lis
 
     keep[0] is the time column t; in its place come the steps
     t[i + 1] - t[i], so t itself is never held. Every field is parsed,
-    _READ_ROWS rows per np.loadtxt call. Each column is allocated once,
+    _BLOCK_ROWS rows per np.loadtxt call. Each column is allocated once,
     for an upper bound on the rows (one per line); its pages past the last
     row are never written, so they stay out of the resident set.
 
-    Given two workers (_workers) and 2 * _READ_ROWS lines, a forked child parses
-    the second half (_parse_halves); a fault reads as in the serial parse.
+    Given two workers for its lines (_workers), a forked child parses the
+    second half (_parse_halves); a fault reads as in the serial parse.
     """
     bound, split, lines = _scan_lines(path)
     lines -= header_lines  # data lines before the split; none without a split
     columns = [np.empty(bound) for _ in keep]
     try:
-        if lines > 0 and bound - header_lines >= 2 * _READ_ROWS and _workers() >= 2:
+        if lines > 0 and _workers(bound - header_lines) >= 2:
             n = _parse_halves(path, fh, split, lines, n_fields, keep, columns)
         else:
             n = _parse(path, fh, n_fields, keep, columns)[0]
@@ -526,7 +525,7 @@ def _parse(path, lines, n_fields: int, keep: list, columns: list) -> tuple:
                                 category=UserWarning)
         while True:
             block = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None,
-                               quotechar='"', max_rows=_READ_ROWS)
+                               quotechar='"', max_rows=_BLOCK_ROWS)
             m = len(block)
             if m and block.shape[1] != n_fields:  # loadtxt only checks rows agree
                 raise ValueError(f"rows of {block.shape[1]} fields, not {n_fields}")
@@ -543,7 +542,7 @@ def _parse(path, lines, n_fields: int, keep: list, columns: list) -> tuple:
                 for column, k in zip(columns[1:], keep[1:]):
                     column[n:n + m] = block[:, k]
             n += m
-            if m < _READ_ROWS:
+            if m < _BLOCK_ROWS:
                 return n, first, last
 
 

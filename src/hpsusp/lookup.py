@@ -124,7 +124,6 @@ class LookupTable:
     dt: float
     config_digest: int
     grids: tuple                     # LookupGrid, ascending omega
-    version: int = VERSION
 
     @property
     def frequencies_hz(self) -> tuple:
@@ -231,7 +230,7 @@ def _outer_sweep(cfg: SuspensionConfig, freq_hz: float,
     exc = oracle.Excitation(kind="sinusoid", amplitudes=(amp,),
                             frequencies=(freq_hz,), duration=20.0 / freq_hz,
                             offset=offset)
-    p1 = oracle.simulate_suspension(exc, cfg, settings.dt, freq_for_n_eff=freq_hz).p1
+    p1 = oracle.simulate_suspension(exc, cfg, settings.dt).p1
     if p1.size < 2:
         raise NumericalError(f"{freq_hz:g} Hz: 20 cycles span under one dt={settings.dt:g} s step")
     skip = int(round(1.0 / (freq_hz * settings.dt)))
@@ -271,9 +270,7 @@ def _grid(cfg: SuspensionConfig, freq_hz: float, dt: float, axes: tuple,
                       cells=cells.astype(np.float32), filled=filled)
 
 
-def build_table(cfg: SuspensionConfig,
-                settings: TableBuildSettings | None = None,
-                min_coverage: float = MIN_COVERAGE) -> LookupTable:
+def build_table(cfg: SuspensionConfig, settings: TableBuildSettings) -> LookupTable:
     """Offline table generation, each grid node evaluated in closed form.
 
     The grids share (P, dP) axes that span every tone's outer sweep loop
@@ -281,7 +278,6 @@ def build_table(cfg: SuspensionConfig,
     config digest's settings, dt and the sweep schedule only;
     stroke_limit only gates the build.
     """
-    settings = settings or TableBuildSettings()
     freqs = sorted(float(f) for f in settings.frequencies_hz)
     if len(set(freqs)) < max(len(freqs), 2):
         raise NumericalError("need at least two distinct characterization frequencies")
@@ -296,10 +292,10 @@ def build_table(cfg: SuspensionConfig,
     grids = []
     for f, (_, _, offset, amp, n_eff) in zip(freqs, sweeps):
         grid = _grid(cfg, f, settings.dt, axes, offset, amp, n_eff)
-        if grid.coverage < min_coverage:
+        if grid.coverage < MIN_COVERAGE:
             raise TableCoverageError(
                 f"{f:g} Hz grid coverage {grid.coverage:.1%} below the "
-                f"{min_coverage:.0%} minimum; widen the amplitude sweep")
+                f"{MIN_COVERAGE:.0%} minimum; widen the amplitude sweep")
         grids.append(grid)
 
     return LookupTable(dt=settings.dt, config_digest=cfg.digest(), grids=tuple(grids))
@@ -454,7 +450,7 @@ _GRID_HEADER = struct.Struct("<dII4d")
 
 def serialize(table: LookupTable) -> bytes:
     """Little-endian binary encoding of the full table."""
-    parts = [_HEADER.pack(MAGIC, table.version, table.config_digest,
+    parts = [_HEADER.pack(MAGIC, VERSION, table.config_digest,
                           table.dt, len(table.grids))]
     for g in table.grids:
         parts.append(_GRID_HEADER.pack(g.omega, g.cells.shape[0], g.cells.shape[1],
@@ -520,8 +516,7 @@ def deserialize(blob: bytes, expected_digest: int | None = None) -> LookupTable:
                                 cells=cells, filled=filled))
     if off != len(blob):
         raise TableFormatError(f"{len(blob) - off} trailing byte(s) after the table")
-    return LookupTable(dt=dt, config_digest=digest, grids=tuple(grids),
-                       version=version)
+    return LookupTable(dt=dt, config_digest=digest, grids=tuple(grids))
 
 
 def save_table(table: LookupTable, path) -> None:
@@ -609,9 +604,8 @@ def _stream_lookup(trace, cells: np.ndarray, grid0: LookupGrid) -> np.ndarray:
 
 
 def benchmark(table: LookupTable, cfg: SuspensionConfig,
-              n_samples: int = 12000, repeats: int = 10,
-              freq_hz: float = 5.0) -> dict:
-    """Median per-sample runtime of the iterative vs lookup path.
+              n_samples: int = 12000, repeats: int = 10) -> dict:
+    """Median per-sample runtime of the iterative vs lookup path on a 5 Hz sinusoid.
 
     The headline numbers are streaming (one sample in, one force out, the
     controller deployment mode); batch numbers for offline whole-trace
@@ -622,7 +616,7 @@ def benchmark(table: LookupTable, cfg: SuspensionConfig,
         raise ParameterError("benchmark needs at least 10000 samples")
     if repeats < 10:
         raise ParameterError("benchmark needs at least 10 repetitions")
-    dt = table.dt
+    dt, freq_hz = table.dt, 5.0  # criterion 4's excitation
     duration = max((n_samples - 1) * dt, 20.0 / freq_hz)
     amp = _amplitude_schedule(freq_hz, 0.8)
     exc = oracle.Excitation(kind="sinusoid", amplitudes=(amp,),

@@ -27,9 +27,17 @@ def rel_rmse(estimate, truth) -> float:
     return rel_rmse_sse(sse(estimate, truth), truth)
 
 
+def _reference(truth) -> np.ndarray:
+    """`truth` as a float array; NumericalError unless every value is finite."""
+    truth = np.asarray(truth, dtype=float)
+    if not np.isfinite(truth).all():
+        raise NumericalError("reference signal is not finite")
+    return truth
+
+
 def rel_rmse_sse(total: float, truth) -> float:
     """RMSE normalized by the reference signal's peak-to-peak range."""
-    truth = np.asarray(truth, dtype=float)
+    truth = _reference(truth)
     span = float(truth.max() - truth.min())
     if span == 0.0:
         raise NumericalError("reference signal has zero range")
@@ -46,7 +54,7 @@ def rel_rmse_mean_sse(total: float, truth) -> float:
     Appropriate for signals with a large static offset, such as wheel
     loads, where the peak-to-peak range understates the working scale.
     """
-    truth = np.asarray(truth, dtype=float)
+    truth = _reference(truth)
     scale = abs(float(truth.mean()))
     if scale == 0.0:
         raise NumericalError("reference signal has zero mean")
@@ -59,7 +67,7 @@ def r_squared(estimate, truth) -> float:
 
 def r_squared_sse(total: float, truth) -> float:
     """Coefficient of determination, 1 - SS_res/SS_tot, with SS_res = total."""
-    truth = np.asarray(truth, dtype=float)
+    truth = _reference(truth)
     ss_tot = float(np.sum((truth - truth.mean()) ** 2))
     if ss_tot == 0.0:
         raise NumericalError("reference signal is constant")

@@ -74,6 +74,10 @@ class Excitation:
         if counts != need:
             raise ParameterError(f"{self.kind} needs {need} amplitudes, frequencies "
                                  f"and phases, got {counts}")
+        if not all(0.0 < f < math.inf for f in self.frequencies):
+            raise ParameterError("excitation frequencies must be positive and finite")
+        if not all(map(math.isfinite, (*self.amplitudes, *self.phases, self.offset))):
+            raise ParameterError("excitation amplitudes, phases and offset must be finite")
         n_cycles = self.duration * min(self.frequencies)
         if n_cycles < 20.0 - 1e-9:
             raise ParameterError("duration must cover at least 20 cycles of the lowest frequency")
@@ -162,13 +166,14 @@ class OracleTrace:
 
 def _sample_count(duration: float, dt: float) -> int:
     """Samples of a run of `duration` s at step dt, both ends included."""
+    if not 0.0 < dt < math.inf:
+        raise ParameterError(f"sampling period dt must be positive and finite, got {dt!r}")
     if not duration / dt < np.iinfo(np.intp).max // 8:  # a float64 array's limit
         raise NumericalError(f"a {duration:g} s run at dt={dt:g} s has too many samples")
     return int(round(duration / dt)) + 1
 
 
-def simulate_suspension(excitation: Excitation, cfg: SuspensionConfig,
-                        dt: float, freq_for_n_eff: float | None = None) -> OracleTrace:
+def simulate_suspension(excitation: Excitation, cfg: SuspensionConfig, dt: float) -> OracleTrace:
     """Prescribed-displacement forward run of one suspension unit.
 
     The polytropic index is evaluated at the known excitation frequency
@@ -184,8 +189,8 @@ def simulate_suspension(excitation: Excitation, cfg: SuspensionConfig,
             f"excitation peak {np.max(np.abs(h)):.4g} m exceeds the stroke limit "
             f"{cfg.stroke_limit:.4g} m")
 
-    f_hz = excitation.primary_frequency if freq_for_n_eff is None else freq_for_n_eff
-    n_eff = core.effective_polytropic_index(2.0 * np.pi * f_hz, cfg.charge, cfg.fluid)
+    n_eff = core.effective_polytropic_index(2.0 * np.pi * excitation.primary_frequency,
+                                            cfg.charge, cfg.fluid)
 
     # Oil compressibility is neglected in the forward displacement-to-
     # pressure mapping (relative volume effect ~ dP/K_bulk); the inverse

@@ -45,7 +45,6 @@ class CriterionResult:
 class ValidationContext:
     """Caches the tables and oracle runs shared between criteria."""
 
-    dt: float = DT
     _cache: dict = field(default_factory=dict)
 
     @cached_property
@@ -62,17 +61,12 @@ class ValidationContext:
 
     def table(self, key: str) -> lookup.LookupTable:
         if key not in self._cache:
-            if key == "bench30":
-                self._cache[key] = lookup.build_table(
-                    self.bench30, config.TableBuildSettings(dt=self.dt))
-            elif key == "bench50":
-                self._cache[key] = lookup.build_table(
-                    self.bench50, config.TableBuildSettings(dt=self.dt))
-            elif key == "truck":
-                self._cache[key] = lookup.build_table(
-                    self.truck.suspension, self.truck.table)
+            if key == "truck":
+                cfg, settings = self.truck.suspension, self.truck.table
             else:
-                raise KeyError(key)
+                cfg = {"bench30": self.bench30, "bench50": self.bench50}[key]
+                settings = config.TableBuildSettings(dt=DT)
+            self._cache[key] = lookup.build_table(cfg, settings)
         return self._cache[key]
 
     def bench_trace(self, freq_hz: float, cfg=None, amp=None) -> oracle.OracleTrace:
@@ -84,7 +78,7 @@ class ValidationContext:
             exc = oracle.Excitation(kind="sinusoid", amplitudes=(amp,),
                                     frequencies=(freq_hz,),
                                     duration=max(20.0 / freq_hz, 20.0))
-            self._cache[key] = oracle.simulate_suspension(exc, cfg, self.dt)
+            self._cache[key] = oracle.simulate_suspension(exc, cfg, DT)
         return self._cache[key]
 
     @cached_property
@@ -92,7 +86,7 @@ class ValidationContext:
         road = oracle.Excitation(kind="sinusoid", amplitudes=(QC_ROAD_AMP,),
                                  frequencies=(QC_ROAD_FREQ,),
                                  duration=max(QC_DURATION, 20.0 / QC_ROAD_FREQ))
-        return oracle.simulate_quarter_car(road, self.truck.quarter_car, self.dt)
+        return oracle.simulate_quarter_car(road, self.truck.quarter_car, DT)
 
     @cached_property
     def wheel_series(self) -> wheel.WheelLoadSeries:
@@ -104,8 +98,8 @@ class ValidationContext:
 def criterion_1(ctx: ValidationContext) -> CriterionResult:
     """Round-trip force recovery at 5 Hz / 7.5 mm on the bench unit."""
     exc = oracle.Excitation(kind="sinusoid", amplitudes=(7.5e-3,),
-                            frequencies=(5.0,), duration=7199 * ctx.dt)
-    trace = oracle.simulate_suspension(exc, ctx.bench30, ctx.dt)
+                            frequencies=(5.0,), duration=7199 * DT)
+    trace = oracle.simulate_suspension(exc, ctx.bench30, DT)
     ptrace = trace.to_pressure_trace()
     start = time.perf_counter()
     est = estimator.run(ptrace, ctx.bench30).rows()  # every channel, as one block
@@ -172,13 +166,13 @@ def criterion_5(ctx: ValidationContext) -> CriterionResult:
     p = rng.uniform(0.5 * cfg.charge.p0, 3.0 * cfg.charge.p0, n)
     dp = rng.uniform(-5e4, 5e4, n)
     dp[dp == 0.0] = 1.0
-    v = lookup.pressure_to_velocity(p, dp, ctx.dt, cfg, n_eff)
-    zero_ok = bool(np.all(lookup.pressure_to_velocity(p, 0.0, ctx.dt, cfg, n_eff) == 0.0))
+    v = lookup.pressure_to_velocity(p, dp, DT, cfg, n_eff)
+    zero_ok = bool(np.all(lookup.pressure_to_velocity(p, 0.0, DT, cfg, n_eff) == 0.0))
     sign_ok = bool(np.all(np.sign(v) == np.sign(dp)))
     # monotone in dp at fixed p
     p_fix = np.full(n, 1.2 * cfg.charge.p0)
     dp_sorted = np.sort(rng.uniform(-5e4, 5e4, n))
-    v_sorted = lookup.pressure_to_velocity(p_fix, dp_sorted, ctx.dt, cfg, n_eff)
+    v_sorted = lookup.pressure_to_velocity(p_fix, dp_sorted, DT, cfg, n_eff)
     mono_ok = bool(np.all(np.diff(v_sorted) >= 0.0))
     # injectivity at fixed p: strictly increasing dp must give strictly
     # increasing v (distinct non-zero increments map to distinct velocities)
@@ -334,7 +328,7 @@ def criterion_12(ctx: ValidationContext) -> CriterionResult:
         trace = ctx.bench_trace(f, cfg=ctx.bench30, amp=amp)
         h_sus = trace.h - trace.h.mean()
         v = trace.v
-        a_sus = core.differentiate(v, ctx.dt)
+        a_sus = core.differentiate(v, DT)
         theta, beta = wheel.lower_arm_angle(h_sus, link)
         z_full = wheel.tire_acceleration(theta, beta, v, a_sus, link,
                                          include_beta_rate=True)

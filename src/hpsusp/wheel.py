@@ -33,7 +33,6 @@ __all__ = [
 ]
 
 COS_SINGULARITY = 0.1
-_BLOCK_ROWS = 8192       # rows per transmission-ratio check of the h pass
 
 
 class GeometrySingularityError(NumericalError):
@@ -180,13 +179,8 @@ def estimate_wheel_load_series(trace: PressureTrace, table: lookup.LookupTable,
     looked-up h (static operating point), so theta measures deviation from
     static equilibrium.
 
-    The whole-trace h is built for its mean and its rows' transmission
-    ratio checked, _BLOCK_ROWS at a time, so any GeometrySingularityError
-    comes before the caller writes output (and counts liftoff).
+    The whole-trace h is built only for its mean; the chain, and so any
+    GeometrySingularityError, comes from `rows` as the rows are written.
     """
     est = lookup.estimate_series(trace, table, omega=omega)
-    h = est.h
-    series = WheelLoadSeries(est=est, h_ref=h.mean(), dt=trace.dt, link=link)
-    for lo in range(0, h.size, _BLOCK_ROWS):
-        suspension_ratio(*lower_arm_angle(h[lo:lo + _BLOCK_ROWS] - series.h_ref, link), link)
-    return series
+    return WheelLoadSeries(est=est, h_ref=est.h.mean(), dt=trace.dt, link=link)

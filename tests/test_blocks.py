@@ -62,10 +62,8 @@ def _size(case, name: str) -> int:
 
 
 def _patch(monkeypatch, rows: int) -> None:
-    monkeypatch.setattr(io, "_READ_ROWS", rows)
-    monkeypatch.setattr(io, "_CHUNK_ROWS", rows)
+    monkeypatch.setattr(io, "_BLOCK_ROWS", rows)
     monkeypatch.setattr(lookup, "_BLOCK_ROWS", rows)
-    monkeypatch.setattr(wheel, "_BLOCK_ROWS", rows)
     monkeypatch.setattr(estimator, "_FFT_SAMPLES", rows)
     monkeypatch.setattr(estimator, "_BLOCK_ROWS", rows)
 
@@ -295,7 +293,7 @@ def test_each_command_computes_each_row_once_per_pass(case, monkeypatch, capsys,
     n = case["trace"].n
     monkeypatch.setattr(io, "_cpu_count", lambda: 1)  # every row in this process
     if chunk:
-        monkeypatch.setattr(io, "_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(io, "_BLOCK_ROWS", chunk)
     common = ["--trace", str(case["dir"] / "trace.csv"), "--table",
               str(case["dir"] / "truck.hplt"), "--preset", "mining-truck",
               "--out", str(tmp_path / "out.csv")]
@@ -405,6 +403,19 @@ def test_bad_field_in_later_chunk_reports_as_unpatched(case, monkeypatch, capsys
     assert capsys.readouterr().err == ref_err
 
 
+def test_wheel_load_series_runs_no_chain_before_its_rows(case, monkeypatch, truck):
+    # the series builds h for its mean only: arm angle and ratio wait for rows()
+    calls = []
+    for name in ("lower_arm_angle", "suspension_ratio"):
+        real = getattr(wheel, name)
+        monkeypatch.setattr(wheel, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    series = wheel.estimate_wheel_load_series(case["trace"], case["table"], truck.linkage)
+    assert calls == []
+    series.rows(0, 10)
+    assert calls == ["lower_arm_angle", "suspension_ratio"]
+
+
 def test_singular_sample_in_last_block_raises_before_output(case, monkeypatch,
                                                             capsys, truck, tmp_path):
     # A level trace whose last sample jumps: only that sample's travel is
@@ -427,10 +438,14 @@ def test_singular_sample_in_last_block_raises_before_output(case, monkeypatch,
     out = tmp_path / "wheel.csv"
     _patch(monkeypatch, trace.n - 1)  # the last block holds the last sample alone
 
+    series = wheel.estimate_wheel_load_series(trace, table, link, omega=g.omega)
+    series.rows(0, trace.n - 1)  # every row but the last is regular
     with pytest.raises(wheel.GeometrySingularityError):
-        wheel.estimate_wheel_load_series(trace, table, link, omega=g.omega)
-    code = cli.main(["wheel-load", "--config", str(cfg_path), "--trace",
-                     str(trace_path), "--table", str(case["dir"] / "truck.hplt"),
-                     "--omega", repr(g.omega), "--out", str(out)])
-    assert code == 4 and "transmission ratio singular" in capsys.readouterr().err
-    assert not out.exists()
+        series.rows()
+    for cpus in (1, 2):  # the write in this process alone, or its last block forked
+        monkeypatch.setattr(io, "_cpu_count", lambda cpus=cpus: cpus)
+        code = cli.main(["wheel-load", "--config", str(cfg_path), "--trace",
+                         str(trace_path), "--table", str(case["dir"] / "truck.hplt"),
+                         "--omega", repr(g.omega), "--out", str(out)])
+        assert code == 4 and "transmission ratio singular" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["jump.csv", "short-arm.cfg"]  # no out, no tmp

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hpsusp
-from hpsusp import cli, config, lookup
+from hpsusp import cli, config, io, lookup
 
 
 def run_cli(capsys, *argv):
@@ -580,6 +580,19 @@ def test_simulate_duration_below_20_cycles_is_usage_error(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_simulate_shorter_than_a_readable_trace_is_usage_error(capsys, tmp_path):
+    # 4 s (20 cycles at 5 Hz) at dt = 4/15 s is 16 samples, the fewest a reader takes
+    out = tmp_path / "x.csv"
+    argv = ("simulate", "--freq", "5", "--amp", "0.001", "--out", str(out))
+    for model in ((), ("--quarter-car",)):
+        for dt, samples in ((0.5, 9), (4.0 / 14.0, 15)):
+            code, _, err = run_cli(capsys, *argv, *model, "--dt", repr(dt))
+            assert code == 2 and f"has {samples} samples; a trace needs at least 16" in err
+            assert not out.exists()
+    assert run_cli(capsys, *argv, "--dt", repr(4.0 / 15.0))[0] == 0
+    assert io.read_trace_csv(out)[0].n == 16
+
+
 def _with_constant_column(src, dst, column, value):
     """Copy trace `src` to `dst` with `column` set to, or added as, `value` in every row."""
     rows = [line.split(",") for line in open(src, encoding="utf-8").read().splitlines()]
@@ -598,6 +611,9 @@ def _with_constant_column(src, dst, column, value):
     (("estimate",), "f_out_truth_n", "1500.5", "reference signal has zero range"),
     (("estimate", "--mode", "lookup"), "f_out_truth_n", "0", "reference signal has zero range"),
     (("wheel-load",), "f_tire_truth_n", "0", "reference signal has zero mean"),
+    (("estimate",), "f_out_truth_n", "nan", "reference signal is not finite"),
+    (("estimate", "--mode", "lookup"), "f_out_truth_n", "nan", "reference signal is not finite"),
+    (("wheel-load",), "f_tire_truth_n", "nan", "reference signal is not finite"),
 ])
 def test_undefined_truth_comparison_keeps_the_output(capsys, trace_file, table_file,
                                                      tmp_path, argv, column, value, reason):

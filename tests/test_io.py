@@ -106,7 +106,7 @@ class TestOutputWriters:
                    -1.7976931348623157e308, 1.0 / 3.0, 1e-300, 123456789.0,
                    float("nan"), float("-inf")]
         rng = np.random.default_rng(7)
-        n = 2 * io._CHUNK_ROWS + 5  # spans chunk boundaries
+        n = 2 * io._BLOCK_ROWS + 5  # spans block boundaries
         cols = [np.resize(special, n),
                 rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
                 np.arange(n) / 360.0]
@@ -325,7 +325,7 @@ class TestParallelEmit:
             calls.append(1)
             return real_fork()
 
-        monkeypatch.setattr(io, "_CHUNK_ROWS", self.CHUNK)
+        monkeypatch.setattr(io, "_BLOCK_ROWS", self.CHUNK)
         monkeypatch.setattr(io, "_FORMAT_ROWS", 2)
         monkeypatch.setattr(io.os, "fork", fork)
         return calls
@@ -378,7 +378,7 @@ class TestParallelEmit:
             tmp_path / "ref.csv", ["a_x"], cols)
 
     def test_serial_without_fork(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(io, "_CHUNK_ROWS", self.CHUNK)
+        monkeypatch.setattr(io, "_BLOCK_ROWS", self.CHUNK)
         monkeypatch.setattr(io, "_cpu_count", lambda: 4)
         monkeypatch.delattr(io.os, "fork")
         cols = [np.arange(23) / 3.0, np.arange(23) * -1e-300]
@@ -561,7 +561,7 @@ class TestSplitIngest:
         data = self._variants(lines)[variant]
         path = tmp_path / f"{variant}.csv"
         path.write_bytes(data)
-        monkeypatch.setattr(io, "_READ_ROWS", 4)
+        monkeypatch.setattr(io, "_BLOCK_ROWS", 4)
         monkeypatch.setattr(io, "_cpu_count", lambda: 1)
         ref, ref_truth = io.read_trace_csv(path)
         monkeypatch.setattr(io, "_cpu_count", lambda: 2)
@@ -599,7 +599,7 @@ class TestSplitIngest:
         lines[where] = b",".join([fields[0], bad, fields[2]])
         path = tmp_path / "bad.csv"
         path.write_bytes(b"\r\n".join(lines))
-        monkeypatch.setattr(io, "_READ_ROWS", 4)
+        monkeypatch.setattr(io, "_BLOCK_ROWS", 4)
         errors = []
         for cpus in (1, 2):
             monkeypatch.setattr(io, "_cpu_count", lambda cpus=cpus: cpus)
@@ -613,7 +613,7 @@ class TestSplitIngest:
     def test_one_cpu_reads_without_forking(self, tmp_path, monkeypatch, lines):
         path = tmp_path / "x.csv"
         path.write_bytes(b"\n".join(lines))
-        monkeypatch.setattr(io, "_READ_ROWS", 4)
+        monkeypatch.setattr(io, "_BLOCK_ROWS", 4)
         forks, real_fork = [], os.fork
         monkeypatch.setattr(io.os, "fork", lambda: forks.append(1) or real_fork())
         monkeypatch.setattr(io, "_cpu_count", lambda: 2)  # forks whatever the host's CPUs
@@ -628,7 +628,7 @@ class TestSplitIngest:
     def test_failed_child_half_is_parsed_again(self, tmp_path, monkeypatch, lines):
         path = tmp_path / "x.csv"
         path.write_bytes(b"\n".join(lines))
-        monkeypatch.setattr(io, "_READ_ROWS", 4)
+        monkeypatch.setattr(io, "_BLOCK_ROWS", 4)
         monkeypatch.setattr(io, "_cpu_count", lambda: 1)
         ref, ref_truth = io.read_trace_csv(path)
         monkeypatch.setattr(io, "_cpu_count", lambda: 2)
@@ -647,8 +647,7 @@ def test_no_child_outlives_a_forked_stage(tmp_path, monkeypatch, trace):
     forks, real_fork = [], os.fork
     monkeypatch.setattr(io.os, "fork", lambda: forks.append(1) or real_fork())
     monkeypatch.setattr(io, "_cpu_count", lambda: 3)
-    monkeypatch.setattr(io, "_CHUNK_ROWS", 64)
-    monkeypatch.setattr(io, "_READ_ROWS", 64)
+    monkeypatch.setattr(io, "_BLOCK_ROWS", 64)
     path = tmp_path / "trace.csv"
     io.write_trace_csv(path, trace)  # 1 441 rows: two children
     _no_child_left()

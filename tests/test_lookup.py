@@ -414,7 +414,7 @@ def _reference_sweeps(cfg, settings):
             exc = oracle.Excitation(kind="sinusoid", amplitudes=(float(amp),),
                                     frequencies=(f,), duration=20.0 / f,
                                     offset=offset)
-            trace = oracle.simulate_suspension(exc, cfg, dt, freq_for_n_eff=f)
+            trace = oracle.simulate_suspension(exc, cfg, dt)
             est = estimator.run(trace.to_pressure_trace(), cfg,
                                 freq_override=f, flow_inertia=False)
             dp = np.empty_like(trace.p1)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hpsusp import metrics
+from hpsusp.errors import NumericalError
 
 
 def test_rmse_known_value():
@@ -49,6 +50,16 @@ def test_rel_rmse_mean_zero_mean_raises():
     truth = np.array([-1.0, 1.0] * 8)
     with pytest.raises(ValueError):
         metrics.rel_rmse_mean(truth + 0.1, truth)
+
+
+@pytest.mark.parametrize("form", [metrics.rel_rmse_sse, metrics.rel_rmse_mean_sse,
+                                  metrics.r_squared_sse])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sse_forms_refuse_a_non_finite_reference(form, bad):
+    truth = 100.0 + np.sin(np.linspace(0.0, 6.0, 100))
+    truth[40] = bad
+    with pytest.raises(NumericalError, match="reference signal is not finite"):
+        form(1.0, truth)
 
 
 def test_r_squared_perfect_fit():

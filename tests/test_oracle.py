@@ -11,6 +11,7 @@ import pytest
 
 from hpsusp import config, core, oracle
 from hpsusp.config import GRAVITY
+from hpsusp.errors import ParameterError
 
 DT = 1.0 / 360.0
 
@@ -349,3 +350,30 @@ def test_excitation_rejects_non_finite_duration(duration):
     with pytest.raises(ValueError, match="duration must be positive and finite"):
         oracle.Excitation(kind="sinusoid", amplitudes=(1e-3,),
                           frequencies=(5.0,), duration=duration)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("amplitudes", (math.nan,), "amplitudes, phases and offset must be finite"),
+    ("amplitudes", (math.inf,), "amplitudes, phases and offset must be finite"),
+    ("phases", (-math.inf,), "amplitudes, phases and offset must be finite"),
+    ("offset", math.nan, "amplitudes, phases and offset must be finite"),
+    ("frequencies", (math.nan,), "frequencies must be positive and finite"),
+    ("frequencies", (math.inf,), "frequencies must be positive and finite"),
+    ("frequencies", (0.0,), "frequencies must be positive and finite"),
+    ("frequencies", (-5.0,), "frequencies must be positive and finite"),
+])
+def test_excitation_rejects_non_finite_tones(field, value, message):
+    kwargs = {"kind": "sinusoid", "amplitudes": (1e-3,), "frequencies": (5.0,),
+              "duration": 10.0, field: value}
+    with pytest.raises(ParameterError, match=message):
+        oracle.Excitation(**kwargs)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
+def test_simulators_refuse_a_sampling_period_that_is_not_positive_and_finite(truck, dt):
+    exc = oracle.Excitation(kind="sinusoid", amplitudes=(1e-3,), frequencies=(5.0,),
+                            duration=4.0)
+    for simulate, params in ((oracle.simulate_suspension, truck.suspension),
+                             (oracle.simulate_quarter_car, truck.quarter_car)):
+        with pytest.raises(ParameterError, match="dt must be positive and finite"):
+            simulate(exc, params, dt)

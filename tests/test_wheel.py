@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from hpsusp import config, wheel
+from hpsusp import config, validate, wheel
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +159,7 @@ class TestSeriesEstimation:
         truck = ctx.truck
         g = table.grids[0]
         p_level = 0.5 * (g.p_min + g.p_max)
-        trace = estimator.PressureTrace(dt=ctx.dt,
+        trace = estimator.PressureTrace(dt=validate.DT,
                                         samples=np.full(512, p_level))
         series = wheel.estimate_wheel_load_series(trace, table, truck.linkage,
                                                   omega=g.omega)
