@@ -151,7 +151,7 @@ def cmd_wheel_load(args) -> int:
     table = lookup.load_table(args.table, cfg.suspension)
     series = wheel.estimate_wheel_load_series(trace, table, cfg.linkage,
                                               omega=args.omega)
-    count, sse = io.write_wheel_load_csv(args.out, trace.dt, series, truth)
+    count, sse = io.write_wheel_load_csv(args.out, series, truth)
     series.liftoff_count = count
     if count:
         warnings.warn(f"wheel load negative at {count} sample(s): liftoff", wheel.WheelLiftoffWarning)

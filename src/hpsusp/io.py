@@ -658,7 +658,7 @@ def write_breakdown_csv(path, trace: PressureTrace, bd: ForceBreakdown, truth):
     return None if truth is None else float(total[0])
 
 
-def write_wheel_load_csv(path, dt: float, series: WheelLoadSeries, truth):
+def write_wheel_load_csv(path, series: WheelLoadSeries, truth):
     """Wheel-load output, the chain per row block; returns (liftoff count, Σ(f_tire - truth)²)."""
     header = ["t_s", "f_out_n", "h_sus_m", "v_mps", "a_sus_mps2", "theta_rad",
               "beta_rad", "i_sus", "ztt_acc_mps2", "f_tire_n", "liftoff_flag"]
@@ -666,7 +666,7 @@ def write_wheel_load_csv(path, dt: float, series: WheelLoadSeries, truth):
     def rows(lo, hi):
         r = series.rows(lo, hi)
         liftoff = r.f_tire < 0.0
-        return ([_times(dt, lo, hi), r.f_out, r.h_sus, r.v, r.a_sus, r.theta, r.beta,
+        return ([_times(series.dt, lo, hi), r.f_out, r.h_sus, r.v, r.a_sus, r.theta, r.beta,
                  r.i_sus, r.z_ddot_t, r.f_tire, liftoff.astype(float)],
                 (np.count_nonzero(liftoff),) + _sse(r.f_tire, truth, lo, hi))
     count, *total = _write_row_blocks(path, header, series.n, rows)

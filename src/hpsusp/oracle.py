@@ -224,6 +224,11 @@ def simulate_quarter_car(road: Excitation, params: QuarterCarParams,
     The fluid-inertia pressure drop is omitted inside the state derivative
     (no algebraic acceleration available); its force contribution is well
     under 0.5% at truck scale.
+
+    The whole run uses one polytropic index, evaluated at
+    ``road.primary_frequency``: the frequency of the largest-amplitude tone,
+    or the mean of a sweep's two end frequencies. A broadband road is
+    therefore simulated with the gas stiffness of that one frequency.
     """
     link, cfg = params.link, params.cfg
     geom, fluid, charge, fric = cfg.geom, cfg.fluid, cfg.charge, cfg.friction
@@ -240,79 +245,87 @@ def simulate_quarter_car(road: Excitation, params: QuarterCarParams,
     f_tire0 = (params.m_s + params.m_u) * link.g
     delta_tire0 = f_tire0 / params.k_t
 
+    # Run constants, folded once. Every expression below keeps the operation
+    # order of the reference loop in tests/test_oracle.py, so the results are
+    # bit for bit the same.
     m_s, m_u = params.m_s, params.m_u
     k_t, c_t = params.k_t, params.c_t
-    g = link.g
+    m_s_g, m_u_g = m_s * link.g, m_u * link.g
     l_low, l_eff = link.l_lower, link.l_eff
     alpha0, beta0, k_beta = link.alpha0, link.beta0, link.k_beta
     sin_a0 = math.sin(alpha0)
-    v0_gas, a1, a3 = geom.v0_gas, geom.a1, geom.a3
-    p0 = charge.p0
+    v0_gas, a1, a2, a3 = geom.v0_gas, geom.a1, geom.a2, geom.a3
+    p0, p_atm = charge.p0, fluid.p_atm
 
     # linear damping coefficients dP/Q (viscous channel + clearance)
     c_lin = (128.0 * fluid.mu * geom.l_ch / (math.pi * geom.d_ch ** 4)
              + 12.0 * fluid.mu * geom.l_piston / (geom.h_gap ** 3 * math.pi * geom.d_piston))
     k_orif_coef = geom.k_orif * fluid.rho / 2.0
-    a_comp = geom.a_ch + geom.a_check
-    a_ext = geom.a_ch
-    fc, fs, vsb, bf, kv = fric.f_coulomb, fric.f_static, fric.v_stribeck, \
-        fric.beta_fric, fric.k_v
+    a_comp, a_ext = geom.a_ch + geom.a_check, geom.a_ch
+    a_comp2, a_ext2 = a_comp * a_comp, a_ext * a_ext   # a_eff² per flow direction
+    fc, vsb, bf, kv = fric.f_coulomb, fric.v_stribeck, fric.beta_fric, fric.k_v
+    fs_fc = fric.f_static - fc
     alg1 = cfg.use_alg1_friction
+    asin, cos, exp, tanh, isfinite = math.asin, math.cos, math.exp, math.tanh, math.isfinite
 
-    def suspension_axial(z_rel, zdot_rel):
-        """(f_out, p1, p2, h_abs, v_sus, i_sus) at relative wheel motion."""
-        s = sin_a0 + z_rel / l_low
+    n_out = _sample_count(duration, dt)
+    out = [np.empty(n_out) for _ in range(11)]
+    # element stores through a memoryview cost half of numpy's __setitem__
+    out_z_s, out_w_s, out_z_t, out_w_t, out_z_g, out_p1, out_p2, out_h, out_v, \
+        out_f_out, out_f_tire = map(memoryview, out)
+
+    def stage(z_s, w_s, z_t, w_t, zg, zg_dot, row=-1):
+        """Sprung and unsprung accelerations at one state and road value.
+
+        The one axial chain of the quarter car. With ``row >= 0`` it also
+        writes the state, the road and the strut and tire channels to that
+        output row.
+        """
+        s = sin_a0 + (z_t - z_s) / l_low
         if not -1.0 < s < 1.0:
             raise InstabilityError("linkage geometry inverted")
-        theta = math.asin(s) - alpha0
+        theta = asin(s) - alpha0
         beta = beta0 + k_beta * theta
-        cos_b = math.cos(beta)
-        cos_at = math.cos(alpha0 + theta)
-        h_sus = l_eff * theta / cos_b
-        v_sus = zdot_rel * l_eff / (l_low * cos_at * cos_b)
-        h_abs = h_static + h_sus
+        cos_b = cos(beta)
+        cos_at = cos(alpha0 + theta)
+        h_abs = h_static + l_eff * theta / cos_b
+        lc = l_low * cos_at
+        v_sus = (w_t - w_s) * l_eff / (lc * cos_b)
         v_gas = v0_gas - a1 * h_abs
         if v_gas <= 0.0:
             raise InstabilityError("gas chamber volume exhausted")
         p1 = p0 * (v0_gas / v_gas) ** n_eff
         q = a3 * v_sus
-        a_eff = a_comp if q > 0.0 else a_ext
-        dp = c_lin * q + k_orif_coef * q * abs(q) / (a_eff * a_eff)
+        dp = c_lin * q + k_orif_coef * q * abs(q) / (a_comp2 if q > 0.0 else a_ext2)
         p2 = p1 - dp
-        f_gas = (p1 - fluid.p_atm) * a1 - (p2 - fluid.p_atm) * geom.a2
-        f_damp = dp * a3
+        f_gas = (p1 - p_atm) * a1 - (p2 - p_atm) * a2
         if alg1:
-            f_fric = (fc + (fs - fc) * math.exp(-(v_sus / vsb) ** 2)) * math.tanh(bf * v_sus)
+            f_fric = (fc + fs_fc * exp(-(v_sus / vsb) ** 2)) * tanh(bf * v_sus)
         else:
-            f_fric = (fc + (fs - fc) * math.exp(-abs(v_sus) / vsb)) * math.tanh(bf * v_sus) \
-                + kv * v_sus
-        i_sus = l_eff * cos_b / (l_low * cos_at)
-        return f_gas + f_damp + f_fric, p1, p2, h_abs, v_sus, i_sus
-
-    def accel(z_s, w_s, z_t, w_t, zg, zg_dot):
-        """Sprung and unsprung accelerations at one state and road value."""
-        f_out, _, _, _, _, i_sus = suspension_axial(z_t - z_s, w_t - w_s)
+            f_fric = (fc + fs_fc * exp(-abs(v_sus) / vsb)) * tanh(bf * v_sus) + kv * v_sus
+        f_out = f_gas + dp * a3 + f_fric
+        i_f = l_eff * cos_b / lc * f_out   # i_sus·f_out
         f_tire = k_t * (zg - z_t + delta_tire0) + c_t * (zg_dot - w_t)
-        return ((i_sus * f_out - m_s * g) / m_s,
-                (f_tire - i_sus * f_out - m_u * g) / m_u)
+        if row >= 0:
+            out_z_s[row], out_w_s[row], out_z_t[row], out_w_t[row] = z_s, w_s, z_t, w_t
+            out_z_g[row], out_p1[row], out_p2[row] = zg, p1, p2
+            out_h[row], out_v[row], out_f_out[row], out_f_tire[row] = h_abs, v_sus, f_out, f_tire
+        return (i_f - m_s_g) / m_s, (f_tire - i_f - m_u_g) / m_u
 
-    n_out = _sample_count(duration, dt)
     sub = 4
     h_step = dt / sub
     half = 0.5 * h_step
     sixth = h_step / 6.0
     z_limit = 10.0 * max(delta_tire0, abs(h_static)) + 1.0
+    last = n_out - 1
 
-    out = {name: np.empty(n_out) for name in
-           ("z_s", "w_s", "z_t", "w_t", "z_g", "p1", "p2", "h", "v",
-            "f_out", "f_tire")}
     z_s = w_s = z_t = w_t = 0.0
     t = 0.0
     for i0 in range(0, n_out, _ROAD_BLOCK):
         # Stage times of the block's steps, accumulated step by step so they
         # carry the same rounding as a running clock; ts[-1] starts the next
         # block. The road is then evaluated once per block on arrays.
-        n_steps = (min(i0 + _ROAD_BLOCK, n_out - 1) - i0) * sub
+        n_steps = (min(i0 + _ROAD_BLOCK, last) - i0) * sub
         ts = [t]
         for _ in range(n_steps):
             t += h_step
@@ -323,40 +336,34 @@ def simulate_quarter_car(road: Excitation, params: QuarterCarParams,
 
         for i in range(i0, min(i0 + _ROAD_BLOCK, n_out)):
             j0 = (i - i0) * sub
-            if not (math.isfinite(z_s) and math.isfinite(w_s) and math.isfinite(z_t)
-                    and math.isfinite(w_t)) or max(abs(z_s), abs(z_t)) > z_limit:
+            if not (isfinite(z_s) and isfinite(w_s) and isfinite(z_t)
+                    and isfinite(w_t)) or max(abs(z_s), abs(z_t)) > z_limit:
                 raise InstabilityError(
                     f"quarter-car integration diverged at step {i} (t={ts[j0]:.4f}s)")
-            f_out, p1, p2, h_abs, v_sus, i_sus = suspension_axial(z_t - z_s, w_t - w_s)
-            zg = zg_at[j0]
-            f_tire = k_t * (zg - z_t + delta_tire0) + c_t * (zv_at[j0] - w_t)
-            out["z_s"][i], out["w_s"][i] = z_s, w_s
-            out["z_t"][i], out["w_t"][i] = z_t, w_t
-            out["z_g"][i] = zg
-            out["p1"][i], out["p2"][i] = p1, p2
-            out["h"][i], out["v"][i] = h_abs, v_sus
-            out["f_out"][i], out["f_tire"][i] = f_out, f_tire
-            if i == n_out - 1:
+            # the output row; its state and road value are also stage 1 of
+            # the first substep
+            a1s, a1t = stage(z_s, w_s, z_t, w_t, zg_at[j0], zv_at[j0], i)
+            if i == last:
                 break
             for j in range(j0, j0 + sub):
                 # classical RK4; the position slopes are the velocities
-                a1s, a1t = accel(z_s, w_s, z_t, w_t, zg_at[j], zv_at[j])
+                if j != j0:
+                    a1s, a1t = stage(z_s, w_s, z_t, w_t, zg_at[j], zv_at[j])
                 v2s, v2t = w_s + half * a1s, w_t + half * a1t
-                a2s, a2t = accel(z_s + half * w_s, v2s, z_t + half * w_t, v2t,
+                a2s, a2t = stage(z_s + half * w_s, v2s, z_t + half * w_t, v2t,
                                  zg_mid[j], zv_mid[j])
                 v3s, v3t = w_s + half * a2s, w_t + half * a2t
-                a3s, a3t = accel(z_s + half * v2s, v3s, z_t + half * v2t, v3t,
+                a3s, a3t = stage(z_s + half * v2s, v3s, z_t + half * v2t, v3t,
                                  zg_mid[j], zv_mid[j])
                 v4s, v4t = w_s + h_step * a3s, w_t + h_step * a3t
-                a4s, a4t = accel(z_s + h_step * v3s, v4s, z_t + h_step * v3t, v4t,
+                a4s, a4t = stage(z_s + h_step * v3s, v4s, z_t + h_step * v3t, v4t,
                                  zg_at[j + 1], zv_at[j + 1])
-                z_s += sixth * (w_s + 2 * v2s + 2 * v3s + v4s)
-                w_s += sixth * (a1s + 2 * a2s + 2 * a3s + a4s)
-                z_t += sixth * (w_t + 2 * v2t + 2 * v3t + v4t)
-                w_t += sixth * (a1t + 2 * a2t + 2 * a3t + a4t)
+                z_s += sixth * (w_s + 2.0 * v2s + 2.0 * v3s + v4s)
+                w_s += sixth * (a1s + 2.0 * a2s + 2.0 * a3s + a4s)
+                z_t += sixth * (w_t + 2.0 * v2t + 2.0 * v3t + v4t)
+                w_t += sixth * (a1t + 2.0 * a2t + 2.0 * a3t + a4t)
 
-    return OracleTrace(dt=dt, h=out["h"], p1=out["p1"], p2=out["p2"],
-                       f_out=out["f_out"], v=out["v"],
-                       z_s=out["z_s"], z_t=out["z_t"],
-                       zdot_s=out["w_s"], zdot_t=out["w_t"],
-                       z_g=out["z_g"], f_tire_truth=out["f_tire"])
+    z_s, w_s, z_t, w_t, z_g, p1, p2, h, v, f_out, f_tire = out
+    return OracleTrace(dt=dt, h=h, p1=p1, p2=p2, f_out=f_out, v=v,
+                       z_s=z_s, z_t=z_t, zdot_s=w_s, zdot_t=w_t,
+                       z_g=z_g, f_tire_truth=f_tire)

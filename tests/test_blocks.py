@@ -200,10 +200,10 @@ def test_wheel_load_and_liftoff_count_equal(case, monkeypatch, truck, tmp_path, 
     path = tmp_path / "wheel.csv"
     for cpus in (1, 2, 3, 4):
         monkeypatch.setattr(io, "_cpu_count", lambda cpus=cpus: cpus)
-        count, sse = io.write_wheel_load_csv(path, DT, series, truth)
+        count, sse = io.write_wheel_load_csv(path, series, truth)
         assert count == ref_count > 0, cpus
         assert sse == pytest.approx(metrics.sse(ref.f_tire, truth), rel=1e-12, abs=0.0), cpus
-        assert io.write_wheel_load_csv(path, DT, series, None) == (count, None), cpus
+        assert io.write_wheel_load_csv(path, series, None) == (count, None), cpus
 
 
 def test_wheel_load_command_counts_liftoff_after_the_write(case, monkeypatch, capsys,
@@ -370,7 +370,7 @@ def test_wheel_load_memory_per_added_sample(case, truck, tmp_path):
             base = tracemalloc.get_traced_memory()[0]
             series = wheel.estimate_wheel_load_series(trace, case["table"],
                                                       truck.linkage)
-            io.write_wheel_load_csv(tmp_path / "wheel.csv", DT, series, None)
+            io.write_wheel_load_csv(tmp_path / "wheel.csv", series, None)
             peaks[n] = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

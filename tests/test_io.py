@@ -153,7 +153,7 @@ class TestOutputWriters:
     def test_wheel_load_csv(self, tmp_path, ctx, truck):
         series = ctx.wheel_series
         path = tmp_path / "wheel.csv"
-        count, sse = io.write_wheel_load_csv(path, 1.0 / 360.0, series, None)
+        count, sse = io.write_wheel_load_csv(path, series, None)
         data = np.genfromtxt(path, delimiter=",", names=True)
         f_tire = series.rows().f_tire
         assert data.size == f_tire.size

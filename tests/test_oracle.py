@@ -236,6 +236,10 @@ def _reference_quarter_car(road, params, dt, duration=None):
     return out
 
 
+TWO_TONE = oracle.Excitation(kind="sum-of-sines", amplitudes=(1.5e-3, 1e-3),
+                             frequencies=(3.0, 8.0), duration=20.0, phases=(0.0, 1.0))
+
+
 def _channels(run):
     return np.stack([run.z_s, run.zdot_s, run.z_t, run.zdot_t, run.z_g, run.p1,
                      run.p2, run.h, run.v, run.f_out, run.f_tire_truth])
@@ -260,6 +264,24 @@ class TestQuarterCarBlockwiseRoad:
         duration = 2 * self.BLOCK * DT
         run = oracle.simulate_quarter_car(road, truck.quarter_car, DT, duration=duration)
         ref = _reference_quarter_car(road, truck.quarter_car, DT, duration=duration)
+        assert np.array_equal(_channels(run), ref)
+
+    # The tests above pin the default friction law on the sine and the sweep;
+    # these add the squared-exponent law (use_alg1_friction) and a two-tone road.
+    @pytest.mark.parametrize("road, alg1", [
+        (oracle.Excitation(kind="sinusoid", amplitudes=(2e-3,), frequencies=(8.0,),
+                           duration=20.0), True),
+        (oracle.Excitation(kind="linear-sweep", amplitudes=(3e-3,), frequencies=(1.0, 8.0),
+                           duration=20.0, offset=1e-3), True),
+        (TWO_TONE, False),
+        (TWO_TONE, True),
+    ], ids=["sinusoid-alg1", "offset-sweep-alg1", "two-tone", "two-tone-alg1"])
+    def test_bit_identical_per_friction_law_and_road(self, truck, road, alg1):
+        cfg = dataclasses.replace(truck.quarter_car.cfg, use_alg1_friction=alg1)
+        qc = dataclasses.replace(truck.quarter_car, cfg=cfg)
+        duration = (self.BLOCK + 1) * DT
+        run = oracle.simulate_quarter_car(road, qc, DT, duration=duration)
+        ref = _reference_quarter_car(road, qc, DT, duration=duration)
         assert np.array_equal(_channels(run), ref)
 
     @pytest.mark.parametrize("case, message", [
