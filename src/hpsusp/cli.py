@@ -184,6 +184,9 @@ def cmd_bench(args) -> int:
     print(f"lookup:    {rep['lookup_us_per_sample']:.3f} us/sample")
     print(f"speedup:   {rep['speedup']:.1f}x "
           f"({rep['n_samples']} samples, median of {rep['repeats']})")
+    print(f"batch iterative: {rep['batch_iterative_us_per_sample']:.3f} us/sample")
+    print(f"batch lookup:    {rep['batch_lookup_us_per_sample']:.3f} us/sample")
+    print(f"batch speedup:   {rep['batch_speedup']:.2f}x (whole trace at once)")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(rep, fh, indent=2)

@@ -42,6 +42,7 @@ __all__ = [
     "TableCoverageError",
     "TimeBaseError",
     "pressure_to_velocity",
+    "pair_velocity",
     "build_table",
     "query",
     "estimate_series",
@@ -98,6 +99,22 @@ def pressure_to_velocity(p, dp, dt: float, cfg: SuspensionConfig, n_eff: float):
     v_gas = core.gas_volume(p, cfg.charge, cfg.geom, n_eff)
     v = v_gas * np.asarray(dp, dtype=float) / (n_eff * p * cfg.geom.a1 * dt)
     return float(v) if v.ndim == 0 else v
+
+
+def pair_velocity(p, dp, dt: float, cfg: SuspensionConfig, n_eff: float) -> tuple:
+    """Exact piston velocity of a pressure pair, with the two displacements.
+
+    A sample at pressure p after one at p - dp has h = h_gas(p) and
+    v = (h_gas(p) - h_gas(p - dp)) / dt, the backward difference the
+    iterative estimator takes of h_gas. Returns (v, h, h_prev), broadcast
+    as p and dp are. The table's cells take v and h from here.
+    """
+    def h_gas(pressure):
+        return core.gas_displacement(
+            core.gas_volume(pressure, cfg.charge, cfg.geom, n_eff), cfg.geom)
+
+    h, h_prev = h_gas(p), h_gas(p - dp)
+    return (h - h_prev) / dt, h, h_prev
 
 
 @dataclass
@@ -241,9 +258,9 @@ def _grid(cfg: SuspensionConfig, freq_hz: float, dt: float, axes: tuple,
           offset: float, amp: float, n_eff: float) -> LookupGrid:
     """One frequency slice, evaluated at its nodes in closed form.
 
-    A sample at pressure P after one at P - dP has h = h_gas(P) and
-    v = (h_gas(P) - h_gas(P - dP)) / dt, and f_out is the force chain at
-    (P, v): what the iterative estimator returns with flow_inertia=False.
+    A node (P, dP) holds pair_velocity's v and h, and f_out is the force
+    chain at (P, v): what the iterative estimator returns with
+    flow_inertia=False.
     The fluid-inertia drop depends on a trajectory's flow acceleration,
     not on (P, dP), so no cell can hold it.
     A node is filled when it lies inside the outer sweep loop, which the
@@ -253,13 +270,7 @@ def _grid(cfg: SuspensionConfig, freq_hz: float, dt: float, axes: tuple,
     p_min, p_max, dp_min, dp_max = axes
     p = np.linspace(p_min, p_max, N_P)[:, None]
     dp = np.linspace(dp_min, dp_max, N_DP)[None, :]
-
-    def h_gas(pressure):
-        v_gas = core.gas_volume(pressure, cfg.charge, cfg.geom, n_eff)
-        return core.gas_displacement(v_gas, cfg.geom)
-
-    h, h_prev = h_gas(p), h_gas(p - dp)
-    v = (h - h_prev) / dt
+    v, h, h_prev = pair_velocity(p, dp, dt, cfg, n_eff)
     _, _, f_gas, f_damp, f_fric = core.force_chain(p, v, 0.0, cfg)
     cells = np.stack(np.broadcast_arrays(f_gas + f_damp + f_fric, v, h), axis=-1)
     theta = 2.0 * np.pi * freq_hz * dt
@@ -524,12 +535,11 @@ def save_table(table: LookupTable, path) -> None:
         fh.write(serialize(table))
 
 
-def load_table(path, cfg: SuspensionConfig | None = None) -> LookupTable:
-    """Read a table file; with cfg given, reject digest mismatches."""
+def load_table(path, cfg: SuspensionConfig) -> LookupTable:
+    """Read a table file; reject one built for a config other than cfg."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    expected = cfg.digest() if cfg is not None else None
-    return deserialize(blob, expected_digest=expected)
+    return deserialize(blob, expected_digest=cfg.digest())
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +620,9 @@ def benchmark(table: LookupTable, cfg: SuspensionConfig,
     The headline numbers are streaming (one sample in, one force out, the
     controller deployment mode); batch numbers for offline whole-trace
     processing, where vectorization hides the arithmetic gap, are reported
-    alongside. Both paths process the same synthetic pressure trace.
+    alongside. Both paths process the same synthetic pressure trace. Each
+    loop is timed by the process's CPU time (`time.process_time`), so
+    other processes on a shared host do not enter the figures.
     """
     if n_samples < 10000:
         raise ParameterError("benchmark needs at least 10000 samples")
@@ -631,18 +643,18 @@ def benchmark(table: LookupTable, cfg: SuspensionConfig,
 
     t_iter, t_look, t_iter_batch, t_look_batch = [], [], [], []
     for _ in range(repeats):
-        start = time.perf_counter()
+        start = time.process_time()
         _stream_iterative(trace, cfg, n_eff)
-        t_iter.append(time.perf_counter() - start)
-        start = time.perf_counter()
+        t_iter.append(time.process_time() - start)
+        start = time.process_time()
         _stream_lookup(trace, cells_f, grid0)
-        t_look.append(time.perf_counter() - start)
-        start = time.perf_counter()
+        t_look.append(time.process_time() - start)
+        start = time.process_time()
         estimator.run(trace, cfg, freq_override=freq_hz).rows()
-        t_iter_batch.append(time.perf_counter() - start)
-        start = time.perf_counter()
+        t_iter_batch.append(time.process_time() - start)
+        start = time.process_time()
         estimate_series(trace, table, omega=omega).rows()
-        t_look_batch.append(time.perf_counter() - start)
+        t_look_batch.append(time.process_time() - start)
     us = lambda t: float(np.median(t)) / n * 1e6
     return {
         "n_samples": n,

@@ -229,11 +229,16 @@ def simulate_quarter_car(road: Excitation, params: QuarterCarParams,
     ``road.primary_frequency``: the frequency of the largest-amplitude tone,
     or the mean of a sweep's two end frequencies. A broadband road is
     therefore simulated with the gas stiffness of that one frequency.
+    ``duration`` (default ``road.duration``) may shorten the run, not
+    extend it: past its end a sweep would leave its frequency band.
     """
     link, cfg = params.link, params.cfg
     geom, fluid, charge, fric = cfg.geom, cfg.fluid, cfg.charge, cfg.friction
     if duration is None:
         duration = road.duration
+    elif not 0.0 < duration <= road.duration:
+        raise ParameterError(f"duration must be positive and at most the road's "
+                             f"{road.duration:g} s, got {duration!r}")
 
     f_hz = road.primary_frequency
     n_eff = core.effective_polytropic_index(2.0 * np.pi * f_hz, charge, fluid)

@@ -280,6 +280,7 @@ def criterion_8(ctx: ValidationContext) -> CriterionResult:
 def criterion_9(ctx: ValidationContext) -> CriterionResult:
     """Tire inertia term stays a small fraction of the wheel load."""
     _, rows, mask = _qc_window(ctx)
+    # the budget is the tire mass's, as defined; the load carries m_u*ztt
     m_t = ctx.truck.linkage.m_t
     frac = float(np.max(np.abs(m_t * rows.z_ddot_t[mask]))
                  / np.mean(rows.f_tire[mask]))
@@ -347,6 +348,6 @@ CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
             criterion_11, criterion_12)
 
 
-def run_all(ctx: ValidationContext | None = None) -> list:
-    ctx = ctx or ValidationContext()
+def run_all() -> list:
+    ctx = ValidationContext()
     return [fn(ctx) for fn in CRITERIA]

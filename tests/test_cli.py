@@ -337,7 +337,7 @@ def test_wheel_load_warnings_reach_stderr(capsys, tmp_path):
                    "--out", str(trace))[0] == 0
     assert run_cli(capsys, "build-table", "--preset", "mining-truck",
                    "--frequencies", "7,8", "--out", str(table))[0] == 0
-    # a heavy tire without gravity lifts off wherever it accelerates upward
+    # a heavy tire without gravity lifts off wherever it accelerates downward
     cfg = tmp_path / "heavy.cfg"
     cfg.write_text("preset = mining-truck\nlinkage.m_u_kg = 1e5\n"
                    "linkage.m_t_kg = 1e5\nlinkage.g_mps2 = 0\n")
@@ -352,9 +352,9 @@ def test_wheel_load_warnings_reach_stderr(capsys, tmp_path):
     assert "probe warning" not in plain.stderr
     assert probed.stdout == plain.stdout
     liftoff = [line for line in plain.stdout.splitlines() if "liftoff" in line]
-    assert liftoff == ["wrote " + argv[-1] + ": 1441 samples, 577 liftoff sample(s)"]
+    assert liftoff == ["wrote " + argv[-1] + ": 1441 samples, 525 liftoff sample(s)"]
     # warned once, after the write
-    assert plain.stderr.count("WheelLiftoffWarning: wheel load negative at 577 sample(s): "
+    assert plain.stderr.count("WheelLiftoffWarning: wheel load negative at 525 sample(s): "
                               "liftoff") == 1
 
 
@@ -420,6 +420,24 @@ def test_non_utf8_trace_is_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "estimate", "--trace", str(path),
                            "--out", str(tmp_path / "o.csv"))
     assert code == 3 and f"input error: {path}: not UTF-8 text" in err
+
+
+def test_bench_prints_every_figure_it_measures(capsys, table_file, monkeypatch):
+    rep = {"n_samples": 12000, "repeats": 10,
+           "iterative_us_per_sample": 37.9, "lookup_us_per_sample": 1.33,
+           "speedup": 28.5, "batch_iterative_us_per_sample": 0.072,
+           "batch_lookup_us_per_sample": 0.165, "batch_speedup": 0.436}
+    monkeypatch.setattr(lookup, "benchmark", lambda *args, **kwargs: rep)
+    code, text, _ = run_cli(capsys, "bench", "--table", table_file)
+    assert code == 0
+    assert text.splitlines() == [
+        "iterative: 37.900 us/sample",
+        "lookup:    1.330 us/sample",
+        "speedup:   28.5x (12000 samples, median of 10)",
+        "batch iterative: 0.072 us/sample",
+        "batch lookup:    0.165 us/sample",
+        "batch speedup:   0.44x (whole trace at once)",
+    ]
 
 
 def test_bench_raises_no_warning(capsys, table_file):

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hpsusp import config, core, estimator, lookup, metrics, oracle
+from hpsusp import config, core, estimator, lookup, metrics, oracle, validate
 
 DT = 1.0 / 360.0
 
@@ -105,6 +105,45 @@ class TestPressureToVelocity:
     def test_rejects_nonpositive_pressure(self, bench_cfg):
         with pytest.raises(ValueError):
             lookup.pressure_to_velocity(0.0, 1.0, DT, bench_cfg, 1.25)
+
+
+class TestPairVelocity:
+    """The exact mapping (h_gas(P) - h_gas(P - dP)) / dt that the cells hold."""
+
+    def test_criterion_5_checks(self, ctx, monkeypatch):
+        # criterion 5 as defined, on its own draw (seed 20260826, n = 10 000),
+        # with the exact mapping in place of the first-order one
+        calls = []
+
+        def exact(p, dp, dt, cfg, n_eff):
+            calls.append(dt)
+            return lookup.pair_velocity(p, dp, dt, cfg, n_eff)[0]
+
+        monkeypatch.setattr(lookup, "pressure_to_velocity", exact)
+        result = validate.criterion_5(ctx)
+        assert len(calls) == 3
+        assert result.passed, result.line()
+        assert result.detail == ("zero@dp=0 True, sign True, monotone True, "
+                                 "injective True (n=10000)")
+
+    def test_grid_nodes_hold_the_mapping(self, bench_cfg, bench_table):
+        charge, geom = bench_cfg.charge, bench_cfg.geom
+        for g in bench_table.grids:
+            n_eff = core.effective_polytropic_index(g.omega, charge, bench_cfg.fluid)
+            p = np.linspace(g.p_min, g.p_max, lookup.N_P)[:, None]
+            dp = np.linspace(g.dp_min, g.dp_max, lookup.N_DP)[None, :]
+            v, h, h_prev = lookup.pair_velocity(p, dp, bench_table.dt, bench_cfg, n_eff)
+
+            def h_gas(x):
+                return core.gas_displacement(core.gas_volume(x, charge, geom, n_eff), geom)
+
+            assert np.array_equal(h, h_gas(p))
+            assert np.array_equal(h_prev, h_gas(p - dp))
+            assert np.array_equal(v, (h_gas(p) - h_gas(p - dp)) / bench_table.dt)
+            # the float64 values at the nodes, as the cells store them
+            assert np.array_equal(g.cells[..., 1], v.astype(np.float32))
+            assert np.array_equal(g.cells[..., 2],
+                                  np.broadcast_to(h, v.shape).astype(np.float32))
 
 
 class TestBuildTable:

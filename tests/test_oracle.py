@@ -391,6 +391,16 @@ def test_excitation_rejects_non_finite_tones(field, value, message):
         oracle.Excitation(**kwargs)
 
 
+@pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf, -math.inf,
+                                      10.0 + 1e-9, 20.0])
+def test_quarter_car_refuses_a_duration_outside_the_road(truck, duration):
+    road = oracle.Excitation(kind="linear-sweep", amplitudes=(2e-3,),
+                             frequencies=(3.0, 4.0), duration=10.0)
+    with pytest.raises(ParameterError, match="duration must be positive and at most "
+                                             "the road's 10 s"):
+        oracle.simulate_quarter_car(road, truck.quarter_car, DT, duration=duration)
+
+
 @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
 def test_simulators_refuse_a_sampling_period_that_is_not_positive_and_finite(truck, dt):
     exc = oracle.Excitation(kind="sinusoid", amplitudes=(1e-3,), frequencies=(5.0,),
