@@ -42,7 +42,6 @@ __all__ = [
     "TableCoverageError",
     "TimeBaseError",
     "pressure_to_velocity",
-    "pair_velocity",
     "build_table",
     "query",
     "estimate_series",
@@ -101,7 +100,7 @@ def pressure_to_velocity(p, dp, dt: float, cfg: SuspensionConfig, n_eff: float):
     return float(v) if v.ndim == 0 else v
 
 
-def pair_velocity(p, dp, dt: float, cfg: SuspensionConfig, n_eff: float) -> tuple:
+def _pair_velocity(p, dp, dt: float, cfg: SuspensionConfig, n_eff: float) -> tuple:
     """Exact piston velocity of a pressure pair, with the two displacements.
 
     A sample at pressure p after one at p - dp has h = h_gas(p) and
@@ -258,7 +257,7 @@ def _grid(cfg: SuspensionConfig, freq_hz: float, dt: float, axes: tuple,
           offset: float, amp: float, n_eff: float) -> LookupGrid:
     """One frequency slice, evaluated at its nodes in closed form.
 
-    A node (P, dP) holds pair_velocity's v and h, and f_out is the force
+    A node (P, dP) holds _pair_velocity's v and h, and f_out is the force
     chain at (P, v): what the iterative estimator returns with
     flow_inertia=False.
     The fluid-inertia drop depends on a trajectory's flow acceleration,
@@ -270,7 +269,7 @@ def _grid(cfg: SuspensionConfig, freq_hz: float, dt: float, axes: tuple,
     p_min, p_max, dp_min, dp_max = axes
     p = np.linspace(p_min, p_max, N_P)[:, None]
     dp = np.linspace(dp_min, dp_max, N_DP)[None, :]
-    v, h, h_prev = pair_velocity(p, dp, dt, cfg, n_eff)
+    v, h, h_prev = _pair_velocity(p, dp, dt, cfg, n_eff)
     _, _, f_gas, f_damp, f_fric = core.force_chain(p, v, 0.0, cfg)
     cells = np.stack(np.broadcast_arrays(f_gas + f_damp + f_fric, v, h), axis=-1)
     theta = 2.0 * np.pi * freq_hz * dt

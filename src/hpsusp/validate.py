@@ -280,7 +280,6 @@ def criterion_8(ctx: ValidationContext) -> CriterionResult:
 def criterion_9(ctx: ValidationContext) -> CriterionResult:
     """Tire inertia term stays a small fraction of the wheel load."""
     _, rows, mask = _qc_window(ctx)
-    # the budget is the tire mass's, as defined; the load carries m_u*ztt
     m_t = ctx.truck.linkage.m_t
     frac = float(np.max(np.abs(m_t * rows.z_ddot_t[mask]))
                  / np.mean(rows.f_tire[mask]))

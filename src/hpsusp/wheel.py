@@ -96,23 +96,26 @@ def tire_acceleration(theta, beta, v, a_sus, link: WheelLinkage,
 
 
 def wheel_load(f_out, i_sus, z_ddot_t, link: WheelLinkage, warn_liftoff: bool = True):
-    """Vertical wheel load F_tire = i_sus*f_out + m_u*g + m_u*z_ddot_t.
+    """Vertical wheel load F_tire = i_sus*f_out + m_u*g + m_t*z_ddot_t.
 
     The unsprung mass m_u (wheel, hub and tire: the quarter car's one
     unsprung body) has height z_t, up positive. The strut force f_out is
     compression-positive and pushes it down through the ratio i_sus, so
     its balance, as `oracle.simulate_quarter_car` integrates it, is
     m_u*z_t'' = F_tire - i_sus*f_out - m_u*g. The inertia term therefore
-    carries + m_u. z_ddot_t is `tire_acceleration`'s: the wheel's vertical
-    acceleration relative to the body, up positive (theta, and with it
-    z_t - z_s, grows in compression). The body's own acceleration is left
-    out; on a vehicle it comes from every strut, not from this one.
+    enters with a plus sign. Its mass is the tire's, m_t, the term whose
+    size criterion 9 bounds; the rest of the unsprung body's inertia,
+    (m_u - m_t)*z_t'', is left out. z_ddot_t is `tire_acceleration`'s:
+    the wheel's vertical acceleration relative to the body, up positive
+    (theta, and with it z_t - z_s, grows in compression). The body's own
+    acceleration is left out; on a vehicle it comes from every strut,
+    not from this one.
 
     Negative loads (wheel liftoff) are returned as computed and flagged
     with a warning; downstream controllers need the raw signal.
     """
     f = np.asarray(i_sus, dtype=float) * np.asarray(f_out, dtype=float) \
-        + link.m_u * link.g + link.m_u * np.asarray(z_ddot_t, dtype=float)
+        + link.m_u * link.g + link.m_t * np.asarray(z_ddot_t, dtype=float)
     n_neg = int(np.count_nonzero(np.asarray(f) < 0.0))
     if n_neg and warn_liftoff:
         warnings.warn(f"wheel load negative at {n_neg} sample(s): liftoff",

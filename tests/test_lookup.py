@@ -117,7 +117,7 @@ class TestPairVelocity:
 
         def exact(p, dp, dt, cfg, n_eff):
             calls.append(dt)
-            return lookup.pair_velocity(p, dp, dt, cfg, n_eff)[0]
+            return lookup._pair_velocity(p, dp, dt, cfg, n_eff)[0]
 
         monkeypatch.setattr(lookup, "pressure_to_velocity", exact)
         result = validate.criterion_5(ctx)
@@ -132,7 +132,7 @@ class TestPairVelocity:
             n_eff = core.effective_polytropic_index(g.omega, charge, bench_cfg.fluid)
             p = np.linspace(g.p_min, g.p_max, lookup.N_P)[:, None]
             dp = np.linspace(g.dp_min, g.dp_max, lookup.N_DP)[None, :]
-            v, h, h_prev = lookup.pair_velocity(p, dp, bench_table.dt, bench_cfg, n_eff)
+            v, h, h_prev = lookup._pair_velocity(p, dp, bench_table.dt, bench_cfg, n_eff)
 
             def h_gas(x):
                 return core.gas_displacement(core.gas_volume(x, charge, geom, n_eff), geom)

