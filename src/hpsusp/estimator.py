@@ -88,7 +88,6 @@ class ForceBreakdown:
     cfg: SuspensionConfig      # the caller's config, as given
     n_eff: float
     f_peak: float
-    flow_inertia: bool = True
 
     @property
     def cavitation_count(self) -> int:
@@ -116,12 +115,9 @@ class ForceBreakdown:
         h_gas = core.gas_displacement(v_gas, geom)
         # Compression-positive velocity; h_gas already grows in compression.
         v = core.differentiate(h_gas, dt)
-        if self.flow_inertia:
-            dq_dt = core.differentiate(geom.a3 * v, dt)
-            if first == 0:
-                dq_dt[0] = 0.0  # no flow history at the first sample
-        else:
-            dq_dt = np.zeros_like(v)
+        dq_dt = core.differentiate(geom.a3 * v, dt)
+        if first == 0:
+            dq_dt[0] = 0.0  # no flow history at the first sample
         a = core.differentiate(v, dt)
 
         s = slice(lo - first, hi - first)
@@ -216,8 +212,7 @@ def estimate_peak_frequency(trace: PressureTrace) -> float:
 
 
 def run(trace: PressureTrace, cfg: SuspensionConfig,
-        freq_override: float | None = None,
-        flow_inertia: bool = True) -> ForceBreakdown:
+        freq_override: float | None = None) -> ForceBreakdown:
     """Iterative reconstruction of the suspension output force.
 
     Finds the excitation frequency and the effective polytropic index; the
@@ -227,14 +222,8 @@ def run(trace: PressureTrace, cfg: SuspensionConfig,
 
     freq_override supplies the excitation frequency in Hz, skipping the
     spectral estimate (used when the excitation is known exactly).
-    flow_inertia=False zeroes the fluid-inertia pressure drop, leaving
-    only terms that are pure functions of the pressure pair; the lookup
-    table is characterized this way because the inertia term depends on
-    the flow acceleration and is therefore specific to the trajectory
-    that produced it, not to the (P, dP) cell it lands in.
     """
     f_peak = float(freq_override) if freq_override is not None \
         else estimate_peak_frequency(trace)
     n_eff = core.effective_polytropic_index(2.0 * np.pi * f_peak, cfg.charge, cfg.fluid)
-    return ForceBreakdown(trace=trace, cfg=cfg, n_eff=float(n_eff), f_peak=f_peak,
-                          flow_inertia=flow_inertia)
+    return ForceBreakdown(trace=trace, cfg=cfg, n_eff=float(n_eff), f_peak=f_peak)

@@ -9,18 +9,21 @@ weighted sum of cell arrays.
 
 The mapping is injective because the velocity implied by a pressure pair,
 
-    v = (h_gas(P) - h_gas(P - dP)) / dt  ~  V_gas(P) * dP / (n_eff * P * A1 * dt),
+    v = (h_gas(P) - h_gas(P - dP)) / dt,
 
-is strictly monotone in dP at fixed P, and the force chain is a function
-of (P, v) only once the sampling period and gas state are fixed. Each
-cell is therefore evaluated directly at its grid node.
+is strictly increasing in dP at fixed P: h_gas is strictly increasing in
+pressure, so h_gas(P - dP) strictly decreases as dP grows. Its
+linearisation in dP is V_gas(P) * dP / (n_eff * P * A1 * dt). The force
+chain is a function of (P, v) only once the sampling period and gas state
+are fixed, so each cell is evaluated directly at its grid node.
 """
 
 from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -85,29 +88,19 @@ class TimeBaseError(NumericalError):
     """Query trace sampling period differs from the table's."""
 
 
-def pressure_to_velocity(p, dp, dt: float, cfg: SuspensionConfig, n_eff: float):
-    """Piston velocity implied by a pressure sample pair.
+def pressure_to_velocity(p, dp, dt: float, cfg: SuspensionConfig, n_eff: float) -> tuple:
+    """Piston velocity implied by a pressure sample pair, with the two displacements.
 
     dp is the backward pressure increment P[i] - P[i-1] over one sampling
     period dt; positive dp (rising pressure) means compression sensing,
-    hence positive velocity.
+    hence positive velocity. A sample at pressure p after one at p - dp has
+    h = h_gas(p) and v = (h - h_prev) / dt, the backward difference the
+    iterative estimator takes of h_gas. Returns (v, h, h_prev), broadcast
+    as p and dp are.
     """
-    p = np.asarray(p, dtype=float)
     if dt <= 0.0:
         raise ValueError("sampling period must be positive")
-    v_gas = core.gas_volume(p, cfg.charge, cfg.geom, n_eff)
-    v = v_gas * np.asarray(dp, dtype=float) / (n_eff * p * cfg.geom.a1 * dt)
-    return float(v) if v.ndim == 0 else v
 
-
-def _pair_velocity(p, dp, dt: float, cfg: SuspensionConfig, n_eff: float) -> tuple:
-    """Exact piston velocity of a pressure pair, with the two displacements.
-
-    A sample at pressure p after one at p - dp has h = h_gas(p) and
-    v = (h_gas(p) - h_gas(p - dp)) / dt, the backward difference the
-    iterative estimator takes of h_gas. Returns (v, h, h_prev), broadcast
-    as p and dp are. The table's cells take v and h from here.
-    """
     def h_gas(pressure):
         return core.gas_displacement(
             core.gas_volume(pressure, cfg.charge, cfg.geom, n_eff), cfg.geom)
@@ -172,18 +165,26 @@ class SeriesEstimate:
     held as their first rows and frequencies. (f_out, v, h) are computed
     for a range of rows (`rows`), so no whole-trace copy of them need
     exist; `h` (_BLOCK_ROWS rows at a time) and the per-sample `omega` are
-    built on every access.
+    built on every access, and `stats` on the first.
     """
 
     p1: np.ndarray
     table: LookupTable
     run_starts: np.ndarray           # first row of each run of equal blend frequency
     run_omegas: np.ndarray           # its blend frequency, rad/s
-    stats: QueryStats = field(default_factory=QueryStats)
 
     @property
     def n(self) -> int:
         return self.p1.size
+
+    @cached_property
+    def stats(self) -> QueryStats:
+        """Clamping counts of every row's query, one pass over the runs in row blocks."""
+        stats = QueryStats()
+        for a, b, omega in self._blocks(0, self.n):
+            dp = core.differentiate(self.p1, 1.0, a, b)
+            _coords(self.table, _bracket(self.table, omega)[3], self.p1[a:b], dp, stats)
+        return stats
 
     @property
     def omega(self) -> np.ndarray:
@@ -257,11 +258,9 @@ def _grid(cfg: SuspensionConfig, freq_hz: float, dt: float, axes: tuple,
           offset: float, amp: float, n_eff: float) -> LookupGrid:
     """One frequency slice, evaluated at its nodes in closed form.
 
-    A node (P, dP) holds _pair_velocity's v and h, and f_out is the force
-    chain at (P, v): what the iterative estimator returns with
-    flow_inertia=False.
-    The fluid-inertia drop depends on a trajectory's flow acceleration,
-    not on (P, dP), so no cell can hold it.
+    A node (P, dP) holds pressure_to_velocity's v and h, and f_out is the
+    force chain at (P, v) with no fluid-inertia drop: that drop depends on
+    a trajectory's flow acceleration, not on (P, dP), so no cell can hold it.
     A node is filled when it lies inside the outer sweep loop, which the
     pairs (x, y) = (A sin phi, A sin(phi - theta)) about the offset trace,
     theta = 2 pi f dt: x^2 - 2 x y cos(theta) + y^2 <= (A sin(theta))^2.
@@ -269,7 +268,7 @@ def _grid(cfg: SuspensionConfig, freq_hz: float, dt: float, axes: tuple,
     p_min, p_max, dp_min, dp_max = axes
     p = np.linspace(p_min, p_max, N_P)[:, None]
     dp = np.linspace(dp_min, dp_max, N_DP)[None, :]
-    v, h, h_prev = _pair_velocity(p, dp, dt, cfg, n_eff)
+    v, h, h_prev = pressure_to_velocity(p, dp, dt, cfg, n_eff)
     _, _, f_gas, f_damp, f_fric = core.force_chain(p, v, 0.0, cfg)
     cells = np.stack(np.broadcast_arrays(f_gas + f_damp + f_fric, v, h), axis=-1)
     theta = 2.0 * np.pi * freq_hz * dt
@@ -425,10 +424,8 @@ def estimate_series(trace: estimator.PressureTrace, table: LookupTable,
 
     omega may be a fixed blend frequency in rad/s or "auto", which tracks
     the dominant frequency over one-second windows hopped every half
-    second and assigns each sample the nearest window's estimate. One pass
-    over the runs of equal blend frequency, in trace order and
-    _BLOCK_ROWS samples at a time, counts the queries' clamping into
-    `stats`; beyond the trace only the run boundaries grow with it.
+    second and assigns each sample the nearest window's estimate. Beyond
+    the trace only the run boundaries grow with it.
     """
     if abs(trace.dt - table.dt) > 1e-9:
         raise TimeBaseError(
@@ -443,11 +440,7 @@ def estimate_series(trace: estimator.PressureTrace, table: LookupTable,
             raise ParameterError("omega must be finite")
         starts, omegas = np.zeros(1, dtype=np.intp), np.array([float(omega)])
 
-    est = SeriesEstimate(p1=p1, table=table, run_starts=starts, run_omegas=omegas)
-    for a, b, omega_run in est._blocks(0, est.n):
-        dp = core.differentiate(p1, 1.0, a, b)
-        _coords(table, _bracket(table, omega_run)[3], p1[a:b], dp, est.stats)
-    return est
+    return SeriesEstimate(p1=p1, table=table, run_starts=starts, run_omegas=omegas)
 
 
 # ---------------------------------------------------------------------------
@@ -552,24 +545,18 @@ def _stream_iterative(trace, cfg: SuspensionConfig, n_eff: float) -> np.ndarray:
     the complete physics chain before the next sample exists, so nothing
     can be batched.
     """
-    geom, fluid, fric, charge = cfg.geom, cfg.fluid, cfg.friction, cfg.charge
+    geom, charge = cfg.geom, cfg.charge
     dt = trace.dt
     out = np.empty(trace.n)
     h_prev = q_prev = None
     for i, p in enumerate(trace.samples):
-        v_gas = core.gas_volume(p, charge, geom, n_eff)
-        h = core.gas_displacement(v_gas, geom)
+        h = core.gas_displacement(core.gas_volume(p, charge, geom, n_eff), geom)
         v = 0.0 if h_prev is None else (h - h_prev) / dt
         q = geom.a3 * v
         dq_dt = 0.0 if q_prev is None else (q - q_prev) / dt
         h_prev, q_prev = h, q
-        dp, _, _, _, _ = core.damping_pressure_drop(
-            core.FlowState(q=q, dq_dt=dq_dt, v=v), geom, fluid)
-        p2 = p - dp
-        out[i] = (core.gas_force(p, p2, geom, fluid)
-                  + core.damping_force(dp, geom)
-                  + core.friction_force(v, fric,
-                                        squared_exponent=cfg.use_alg1_friction))
+        _, _, f_gas, f_damp, f_fric = core.force_chain(p, v, dq_dt, cfg)
+        out[i] = f_gas + f_damp + f_fric
     return out
 
 
@@ -612,6 +599,24 @@ def _stream_lookup(trace, cells: np.ndarray, grid0: LookupGrid) -> np.ndarray:
     return out
 
 
+def _benchmark_inputs(table: LookupTable, cfg: SuspensionConfig, n_samples: int) -> tuple:
+    """Criterion 4's inputs: (trace, freq_hz, n_eff, f_out cells blended at freq_hz).
+
+    The trace is the suspension's response to a 5 Hz sinusoid.
+    """
+    dt, freq_hz = table.dt, 5.0
+    duration = max((n_samples - 1) * dt, 20.0 / freq_hz)
+    amp = _amplitude_schedule(freq_hz, 0.8)
+    exc = oracle.Excitation(kind="sinusoid", amplitudes=(amp,),
+                            frequencies=(freq_hz,), duration=duration)
+    trace = oracle.simulate_suspension(exc, cfg, dt).to_pressure_trace()
+    omega = 2.0 * np.pi * freq_hz
+    n_eff = core.effective_polytropic_index(omega, cfg.charge, cfg.fluid)
+    f_cells = _blend(_bracket(table, omega), np.arange(N_P * N_DP))[:, 0]
+    cells_f = np.ascontiguousarray(f_cells.reshape(N_P, N_DP), dtype=float)
+    return trace, freq_hz, n_eff, cells_f
+
+
 def benchmark(table: LookupTable, cfg: SuspensionConfig,
               n_samples: int = 12000, repeats: int = 10) -> dict:
     """Median per-sample runtime of the iterative vs lookup path on a 5 Hz sinusoid.
@@ -627,18 +632,8 @@ def benchmark(table: LookupTable, cfg: SuspensionConfig,
         raise ParameterError("benchmark needs at least 10000 samples")
     if repeats < 10:
         raise ParameterError("benchmark needs at least 10 repetitions")
-    dt, freq_hz = table.dt, 5.0  # criterion 4's excitation
-    duration = max((n_samples - 1) * dt, 20.0 / freq_hz)
-    amp = _amplitude_schedule(freq_hz, 0.8)
-    exc = oracle.Excitation(kind="sinusoid", amplitudes=(amp,),
-                            frequencies=(freq_hz,), duration=duration)
-    trace = oracle.simulate_suspension(exc, cfg, dt).to_pressure_trace()
-    n = trace.n
-    omega = 2.0 * np.pi * freq_hz
-    n_eff = core.effective_polytropic_index(omega, cfg.charge, cfg.fluid)
-    f_cells = _blend(_bracket(table, omega), np.arange(N_P * N_DP))[:, 0]
-    cells_f = np.ascontiguousarray(f_cells.reshape(N_P, N_DP), dtype=float)
-    grid0 = table.grids[0]
+    trace, freq_hz, n_eff, cells_f = _benchmark_inputs(table, cfg, n_samples)
+    n, omega, grid0 = trace.n, 2.0 * np.pi * freq_hz, table.grids[0]
 
     t_iter, t_look, t_iter_batch, t_look_batch = [], [], [], []
     for _ in range(repeats):

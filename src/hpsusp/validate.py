@@ -166,13 +166,13 @@ def criterion_5(ctx: ValidationContext) -> CriterionResult:
     p = rng.uniform(0.5 * cfg.charge.p0, 3.0 * cfg.charge.p0, n)
     dp = rng.uniform(-5e4, 5e4, n)
     dp[dp == 0.0] = 1.0
-    v = lookup.pressure_to_velocity(p, dp, DT, cfg, n_eff)
-    zero_ok = bool(np.all(lookup.pressure_to_velocity(p, 0.0, DT, cfg, n_eff) == 0.0))
+    v = lookup.pressure_to_velocity(p, dp, DT, cfg, n_eff)[0]
+    zero_ok = bool(np.all(lookup.pressure_to_velocity(p, 0.0, DT, cfg, n_eff)[0] == 0.0))
     sign_ok = bool(np.all(np.sign(v) == np.sign(dp)))
     # monotone in dp at fixed p
     p_fix = np.full(n, 1.2 * cfg.charge.p0)
     dp_sorted = np.sort(rng.uniform(-5e4, 5e4, n))
-    v_sorted = lookup.pressure_to_velocity(p_fix, dp_sorted, DT, cfg, n_eff)
+    v_sorted = lookup.pressure_to_velocity(p_fix, dp_sorted, DT, cfg, n_eff)[0]
     mono_ok = bool(np.all(np.diff(v_sorted) >= 0.0))
     # injectivity at fixed p: strictly increasing dp must give strictly
     # increasing v (distinct non-zero increments map to distinct velocities)

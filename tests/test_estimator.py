@@ -181,19 +181,6 @@ class TestRun:
         assert bd.n_eff == core.effective_polytropic_index(2.0 * np.pi * 5.0,
                                                            cfg.charge, cfg.fluid)
 
-    def test_flow_inertia_flag_zeroes_only_inertia(self, bench_cfg):
-        exc = oracle.Excitation(kind="sinusoid", amplitudes=(7.5e-3,),
-                                frequencies=(5.0,), duration=4.0)
-        trace = oracle.simulate_suspension(exc, bench_cfg, DT).to_pressure_trace()
-        with_i = estimator.run(trace, bench_cfg, freq_override=5.0)
-        without = estimator.run(trace, bench_cfg, freq_override=5.0,
-                                flow_inertia=False)
-        # the kinematic chain is untouched; the damping chain changes
-        with_i, without = with_i.rows(), without.rows()
-        assert np.array_equal(with_i.v, without.v)
-        assert np.array_equal(with_i.f_fric, without.f_fric)
-        assert not np.array_equal(with_i.f_damp, without.f_damp)
-
 
 class TestPressureTrace:
     def test_rejects_nonpositive_samples(self):

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hpsusp import config, core, estimator, lookup, metrics, oracle, validate
+from hpsusp import config, core, estimator, lookup, metrics, oracle
 
 DT = 1.0 / 360.0
 
@@ -67,27 +67,27 @@ def _ref_bilinear(blend, grid0, p, dp, stats=None):
 
 
 class TestPressureToVelocity:
+    """The exact mapping (h_gas(P) - h_gas(P - dP)) / dt that the cells hold."""
+
     def test_quasi_static_is_zero(self, bench_cfg):
-        assert lookup.pressure_to_velocity(1.0e6, 0.0, DT, bench_cfg, 1.25) == 0.0
+        assert lookup.pressure_to_velocity(1.0e6, 0.0, DT, bench_cfg, 1.25)[0] == 0.0
 
     def test_scalar_case(self, bench_cfg):
-        # V_gas = 1e-3*(0.8)^0.8; v = V_gas*dp/(n p A1 dt)
-        v = lookup.pressure_to_velocity(1.0e6, 1000.0, 0.002778, bench_cfg, 1.25)
-        assert v == pytest.approx(0.0545260482640405, rel=1e-9)
-
-    def test_odd_in_dp(self, bench_cfg):
-        v_pos = lookup.pressure_to_velocity(1.2e6, 500.0, DT, bench_cfg, 1.3)
-        v_neg = lookup.pressure_to_velocity(1.2e6, -500.0, DT, bench_cfg, 1.3)
-        assert v_neg == -v_pos
+        # h_gas(p) = (V0 - V0*(P0/p)^(1/n))/A1 with V0 = 1e-3, P0 = 0.8e6,
+        # A1 = 4.418e-3, n = 1.25: v = V0*((P0/(p - dp))^0.8 - (P0/p)^0.8)/(A1 dt)
+        v, h, h_prev = lookup.pressure_to_velocity(1.0e6, 1000.0, 0.002778,
+                                                   bench_cfg, 1.25)
+        assert v == pytest.approx(0.0545751675529123, rel=1e-9)
+        assert v == (h - h_prev) / 0.002778
 
     def test_sign_convention_compression_positive(self, bench_cfg):
-        assert lookup.pressure_to_velocity(1.0e6, 800.0, DT, bench_cfg, 1.25) > 0.0
+        assert lookup.pressure_to_velocity(1.0e6, 800.0, DT, bench_cfg, 1.25)[0] > 0.0
 
     def test_injective_over_random_pairs(self, bench_cfg):
         rng = np.random.default_rng(7)
         p = rng.uniform(0.9e6, 3.0e6, 10_000)
         dp = rng.uniform(-5e4, 5e4, 10_000)
-        v = lookup.pressure_to_velocity(p, dp, DT, bench_cfg, 1.25)
+        v = lookup.pressure_to_velocity(p, dp, DT, bench_cfg, 1.25)[0]
         # distinct (p, dp) with dp != 0 give distinct v; dp = 0 collapses to 0
         nonzero = dp != 0.0
         assert np.unique(v[nonzero]).size == np.count_nonzero(nonzero)
@@ -95,44 +95,26 @@ class TestPressureToVelocity:
     def test_monotone_in_dp_and_p(self, bench_cfg):
         dp = np.linspace(-4e4, 4e4, 101)
         v = lookup.pressure_to_velocity(np.full_like(dp, 1.5e6), dp, DT,
-                                        bench_cfg, 1.25)
+                                        bench_cfg, 1.25)[0]
         assert np.all(np.diff(v) > 0.0)
         p = np.linspace(1.0e6, 3.0e6, 101)
         v2 = lookup.pressure_to_velocity(p, np.full_like(p, 1e4), DT,
-                                         bench_cfg, 1.25)
+                                         bench_cfg, 1.25)[0]
         assert np.all(np.diff(v2) < 0.0)
 
     def test_rejects_nonpositive_pressure(self, bench_cfg):
         with pytest.raises(ValueError):
             lookup.pressure_to_velocity(0.0, 1.0, DT, bench_cfg, 1.25)
 
-
-class TestPairVelocity:
-    """The exact mapping (h_gas(P) - h_gas(P - dP)) / dt that the cells hold."""
-
-    def test_criterion_5_checks(self, ctx, monkeypatch):
-        # criterion 5 as defined, on its own draw (seed 20260826, n = 10 000),
-        # with the exact mapping in place of the first-order one
-        calls = []
-
-        def exact(p, dp, dt, cfg, n_eff):
-            calls.append(dt)
-            return lookup._pair_velocity(p, dp, dt, cfg, n_eff)[0]
-
-        monkeypatch.setattr(lookup, "pressure_to_velocity", exact)
-        result = validate.criterion_5(ctx)
-        assert len(calls) == 3
-        assert result.passed, result.line()
-        assert result.detail == ("zero@dp=0 True, sign True, monotone True, "
-                                 "injective True (n=10000)")
-
-    def test_grid_nodes_hold_the_mapping(self, bench_cfg, bench_table):
+    def test_grid_nodes_hold_the_mapping_and_the_force(self, bench_cfg, bench_table):
         charge, geom = bench_cfg.charge, bench_cfg.geom
+        assert len(bench_table.grids) == 4
         for g in bench_table.grids:
             n_eff = core.effective_polytropic_index(g.omega, charge, bench_cfg.fluid)
             p = np.linspace(g.p_min, g.p_max, lookup.N_P)[:, None]
             dp = np.linspace(g.dp_min, g.dp_max, lookup.N_DP)[None, :]
-            v, h, h_prev = lookup._pair_velocity(p, dp, bench_table.dt, bench_cfg, n_eff)
+            v, h, h_prev = lookup.pressure_to_velocity(p, dp, bench_table.dt,
+                                                       bench_cfg, n_eff)
 
             def h_gas(x):
                 return core.gas_displacement(core.gas_volume(x, charge, geom, n_eff), geom)
@@ -140,7 +122,11 @@ class TestPairVelocity:
             assert np.array_equal(h, h_gas(p))
             assert np.array_equal(h_prev, h_gas(p - dp))
             assert np.array_equal(v, (h_gas(p) - h_gas(p - dp)) / bench_table.dt)
-            # the float64 values at the nodes, as the cells store them
+            # the float64 values at the nodes, as the cells store them; f_out
+            # is the chain at (P, v) with no fluid-inertia drop
+            _, _, f_gas, f_damp, f_fric = core.force_chain(p, v, 0.0, bench_cfg)
+            assert np.array_equal(g.cells[..., 0],
+                                  (f_gas + f_damp + f_fric).astype(np.float32))
             assert np.array_equal(g.cells[..., 1], v.astype(np.float32))
             assert np.array_equal(g.cells[..., 2],
                                   np.broadcast_to(h, v.shape).astype(np.float32))
@@ -454,14 +440,15 @@ def _reference_sweeps(cfg, settings):
                                     frequencies=(f,), duration=20.0 / f,
                                     offset=offset)
             trace = oracle.simulate_suspension(exc, cfg, dt)
-            est = estimator.run(trace.to_pressure_trace(), cfg,
-                                freq_override=f, flow_inertia=False)
+            rows = estimator.run(trace.to_pressure_trace(), cfg,
+                                 freq_override=f).rows()
+            # the chain with no fluid-inertia drop, which no cell can hold
+            _, _, f_gas, f_damp, f_fric = core.force_chain(trace.p1, rows.v, 0.0, cfg)
             dp = np.empty_like(trace.p1)
             dp[1:] = np.diff(trace.p1)
             dp[0] = dp[1]
-            rows = est.rows()
-            cols.append(np.column_stack([trace.p1, dp, rows.f_out, rows.v,
-                                         rows.h_gas])[skip:])
+            cols.append(np.column_stack([trace.p1, dp, f_gas + f_damp + f_fric,
+                                         rows.v, rows.h_gas])[skip:])
         sweeps.append(np.concatenate(cols))
 
     all_p = np.concatenate([s[:, 0] for s in sweeps])
@@ -507,12 +494,12 @@ class TestClosedFormTable:
             for i, j in zip(rng.integers(0, lookup.N_P, 20),
                             rng.integers(0, lookup.N_DP, 20)):
                 p, dp = p_axis[i], dp_axis[j]
+                # row 1 after p - dP: its v is row 0's (start-up convention),
+                # so its dq/dt, and with it the fluid-inertia drop, is zero
                 trace = estimator.PressureTrace(
-                    dt=bench_table.dt, samples=np.append(np.full(15, p - dp), p))
-                bd = estimator.run(trace, bench_cfg, freq_override=f,
-                                   flow_inertia=False)
-                rows = bd.rows()
-                want = np.array([rows.f_out[-1], rows.v[-1], rows.h_gas[-1]])
+                    dt=bench_table.dt, samples=np.append(p - dp, np.full(15, p)))
+                rows = estimator.run(trace, bench_cfg, freq_override=f).rows(1, 2)
+                want = np.array([rows.f_out[0], rows.v[0], rows.h_gas[0]])
                 # float32 storage: half an ulp of the value, plus float64
                 # rounding on the scale of the column
                 assert np.all(np.abs(g.cells[i, j] - want)
@@ -581,3 +568,22 @@ class TestClosedFormTable:
                                         min(max(j, 0), lookup.N_DP - 1)]
         assert est.stats == ref
         assert est.stats.extrapolated == unfilled > 0
+
+
+class TestCriterion4Loops:
+    """The two loops criterion 4 times compute the force of their batch paths."""
+
+    def test_stream_iterative_equals_the_estimator(self, bench_cfg, bench_table):
+        trace, freq_hz, n_eff, _ = lookup._benchmark_inputs(bench_table, bench_cfg, 12000)
+        got = lookup._stream_iterative(trace, bench_cfg, n_eff)
+        want = estimator.run(trace, bench_cfg, freq_override=freq_hz).rows().f_out
+        # rows 0-1 differ by the start-up convention: the loop takes v = 0
+        # at row 0, the estimator row 1's difference
+        assert np.max(np.abs(got[2:] - want[2:])) <= 1e-10 * np.ptp(want)
+
+    def test_stream_lookup_equals_the_series_estimate(self, bench_cfg, bench_table):
+        trace, freq_hz, _, cells = lookup._benchmark_inputs(bench_table, bench_cfg, 12000)
+        got = lookup._stream_lookup(trace, cells, bench_table.grids[0])
+        want = lookup.estimate_series(trace, bench_table, 2.0 * np.pi * freq_hz).rows().f_out
+        # row 0 takes dP = 0 in the loop, row 1's increment in the series
+        assert np.max(np.abs(got[1:] - want[1:])) <= 1e-10 * np.ptp(want)
