@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import core, estimator, oracle
+from . import core, estimator  # oracle: imported by the two functions that simulate
 from .config import SuspensionConfig, TableBuildSettings
 from .errors import InputError, NumericalError, ParameterError
 
@@ -238,6 +238,7 @@ def _outer_sweep(cfg: SuspensionConfig, freq_hz: float,
     one, so it alone bounds the axes; the run raises StrokeError where the
     sweep would overstroke. Returns (p1, dp, offset, amplitude, n_eff).
     """
+    from . import oracle
     n_eff = core.effective_polytropic_index(2.0 * np.pi * freq_hz,
                                             cfg.charge, cfg.fluid)
     offset = 0.0
@@ -604,6 +605,7 @@ def _benchmark_inputs(table: LookupTable, cfg: SuspensionConfig, n_samples: int)
 
     The trace is the suspension's response to a 5 Hz sinusoid.
     """
+    from . import oracle
     dt, freq_hz = table.dt, 5.0
     duration = max((n_samples - 1) * dt, 20.0 / freq_hz)
     amp = _amplitude_schedule(freq_hz, 0.8)

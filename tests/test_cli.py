@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -287,6 +288,95 @@ def test_commands_without_a_digest_load_no_openssl(modules_loaded):
 def test_trace_commands_load_no_numpy_ma(modules_loaded):
     # np.median imports numpy.ma (~1.7 MB RSS) on its first call
     assert [ma for _, ma in modules_loaded] == [False] * 8
+
+
+_LOADED_PROBE = """
+import sys
+from hpsusp import cli
+if sys.argv[1:]:
+    assert cli.main(sys.argv[1:]) == 0, sys.argv
+print(sorted(m.split(".")[1] for m in sys.modules if m.startswith("hpsusp.")))
+"""
+
+
+def _modules_loaded_by(*argv) -> set:
+    """hpsusp's modules in a fresh interpreter after `import hpsusp.cli`, then main(argv)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", _LOADED_PROBE, *argv],
+                         env=env, capture_output=True, text=True, check=True)
+    return set(ast.literal_eval(out.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_no_command_module():
+    # config needs core's parameter classes; each command imports the rest
+    assert _modules_loaded_by() == {"cli", "config", "core", "errors"}
+
+
+@pytest.mark.parametrize("argv, not_loaded", [
+    (["simulate", "--quarter-car", "--preset", "mining-truck", "--freq", "8",
+      "--amp", "0.002", "--duration", "4", "--out", "{tmp}/road.csv"],
+     {"lookup", "wheel", "validate"}),
+    (["estimate", "--mode", "iterative", "--trace", "{trace}", "--out", "{tmp}/bd.csv"],
+     {"lookup", "oracle", "wheel", "validate"}),
+    (["build-table", "--frequencies", "5,7", "--out", "{tmp}/bench.hplt"],
+     {"io", "wheel", "validate"}),
+    (["wheel-load", "--trace", "{trace}", "--table", "{table}", "--out", "{tmp}/wheel.csv"],
+     {"oracle", "validate"}),
+], ids=["simulate-quarter-car", "estimate-iterative", "build-table", "wheel-load"])
+def test_each_command_loads_only_what_it_runs(trace_file, table_file, tmp_path, argv,
+                                              not_loaded):
+    loaded = _modules_loaded_by(*(a.format(tmp=tmp_path, trace=trace_file, table=table_file)
+                                  for a in argv))
+    assert not loaded & not_loaded
+
+
+_PACKAGE_PROBE = """
+import sys
+import hpsusp
+loaded = sorted(m for m in sys.modules if m.startswith("hpsusp."))
+listed = sorted(set(hpsusp.__all__) - set(dir(hpsusp)))
+namespace = {}
+exec("from hpsusp import *", namespace)
+print([loaded, listed, sorted(set(hpsusp.__all__) - set(namespace))])
+"""
+
+
+class TestLazyPackage:
+    """The package imports its modules on first use and keeps its API."""
+
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        """In a fresh interpreter: [modules `import hpsusp` loaded, names of __all__
+        missing from dir(), names `from hpsusp import *` did not bind]."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", _PACKAGE_PROBE], env=env,
+                             capture_output=True, text=True, check=True)
+        return ast.literal_eval(out.stdout.splitlines()[-1])
+
+    def test_import_loads_no_module(self, fresh):
+        assert fresh[0] == []
+
+    def test_dir_lists_every_name_before_first_use(self, fresh):
+        assert fresh[1] == []
+
+    def test_star_import_binds_every_name(self, fresh):
+        assert fresh[2] == []
+
+    def test_every_name_resolves_to_its_modules_object(self):
+        for name in hpsusp.__all__:
+            value = getattr(hpsusp, name)
+            if name == "__version__":
+                assert value == "1.0.0"
+            elif inspect.ismodule(value):
+                assert value is sys.modules[f"hpsusp.{name}"]
+            else:
+                assert value.__module__.startswith("hpsusp."), name
+                assert getattr(sys.modules[value.__module__], name) is value
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            hpsusp.no_such_name  # noqa: B018
+        assert not hasattr(hpsusp, "cli_main")
 
 
 def test_package_imports_no_scipy():

@@ -532,6 +532,19 @@ class TestCsvText:
             assert io._csv_text(block).tobytes() == _g17_rows(block)
         assert io._csv_text(np.empty((0, 3))).tobytes() == b""
 
+    def test_every_block_size_to_twice_the_kernel_threshold(self):
+        # blocks under io._KERNEL_VALUES values are written by '%.17g', the rest
+        # by the kernel; one column gives every size, 11 a row of breakdown_csv
+        rng = np.random.default_rng(20)
+        pool = np.concatenate([
+            rng.uniform(1.0, 10.0, 4096) * 10.0 ** rng.integers(-6, 18, 4096),
+            rng.integers(0, 2 ** 64, 512, dtype=np.uint64, endpoint=False).view(np.float64),
+            [0.0, -0.0, np.inf, -np.inf, np.nan]])
+        for cols in (1, 11):
+            for rows in range(1, 2 * io._KERNEL_VALUES // cols + 1):
+                block = rng.choice(pool, (rows, cols)) * rng.choice([-1.0, 1.0], (rows, cols))
+                assert io._csv_text(block).tobytes() == _g17_rows(block), (rows, cols)
+
 
 def _line_spans(data: bytes) -> list:
     """(offset just past each line end, line ends before it), as the text reader splits."""
