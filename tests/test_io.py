@@ -534,7 +534,7 @@ class TestCsvText:
 
     def test_every_block_size_to_twice_the_kernel_threshold(self):
         # blocks under io._KERNEL_VALUES values are written by '%.17g', the rest
-        # by the kernel; one column gives every size, 11 a row of breakdown_csv
+        # by the kernel; one column gives every size, 11 a row of the wheel-load CSV
         rng = np.random.default_rng(20)
         pool = np.concatenate([
             rng.uniform(1.0, 10.0, 4096) * 10.0 ** rng.integers(-6, 18, 4096),
