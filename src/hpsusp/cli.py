@@ -73,6 +73,8 @@ def _flag_type(convert, message: str):
 
 _temperature_arg = _flag_type(lambda text: _number(text, -273.15),  # --t0, degC
                               "must be a finite temperature above -273.15 degC")
+_positive_arg = _flag_type(_number, "must be a positive finite number")
+_finite_arg = _flag_type(lambda text: _number(text, -math.inf), "must be a finite number")
 _omega_arg = _flag_type(lambda text: text if text == "auto" else _number(text),  # rad/s
                         "must be 'auto' or a positive finite number")
 _frequencies_arg = _flag_type(lambda text: tuple(_number(f) for f in text.split(",")),  # Hz
@@ -83,13 +85,6 @@ def cmd_simulate(args) -> int:
     from . import estimator, io, oracle
     gc.freeze()  # see main
     cfg = _load_config(args)
-    for name in ("dt", "freq", "freq_end", "duration"):
-        value = getattr(args, name)
-        if value is not None and not 0.0 < value < math.inf:
-            raise UsageError(f"--{name.replace('_', '-')} must be positive and finite")
-    for name in ("amp", "offset"):
-        if not math.isfinite(getattr(args, name)):
-            raise UsageError(f"--{name} must be finite")
     if args.kind == "linear-sweep" and args.freq_end is None:
         raise UsageError("--kind linear-sweep requires --freq-end")
     if args.kind != "linear-sweep" and args.freq_end is not None:
@@ -228,14 +223,14 @@ def build_parser() -> _Parser:
     _add_config_flags(p)
     p.add_argument("--kind", default="sinusoid",
                    choices=("sinusoid", "sum-of-sines", "linear-sweep"))
-    p.add_argument("--freq", type=float, required=True,
+    p.add_argument("--freq", type=_positive_arg, required=True,
                    help="Hz (start frequency of a linear sweep)")
-    p.add_argument("--freq-end", type=float, metavar="HZ",
+    p.add_argument("--freq-end", type=_positive_arg, metavar="HZ",
                    help="end frequency; required with --kind linear-sweep")
-    p.add_argument("--amp", type=float, required=True, help="m")
-    p.add_argument("--duration", type=float, help="s (default: 20 cycles)")
-    p.add_argument("--offset", type=float, default=0.0, help="m")
-    p.add_argument("--dt", type=float, default=1.0 / 360.0, help="s")
+    p.add_argument("--amp", type=_finite_arg, required=True, help="m")
+    p.add_argument("--duration", type=_positive_arg, help="s (default: 20 cycles)")
+    p.add_argument("--offset", type=_finite_arg, default=0.0, help="m")
+    p.add_argument("--dt", type=_positive_arg, default=1.0 / 360.0, help="s")
     p.add_argument("--quarter-car", action="store_true",
                    help="treat the excitation as road input to the quarter car")
     p.add_argument("--out", required=True)

@@ -40,6 +40,12 @@ __all__ = [
     "differentiate",
 ]
 
+# Rows an online stage parses, computes or writes at once: the CSV ingest's
+# np.loadtxt chunk and time steps, the CSV writers' blocks (a stage forks at
+# two), the cavitation count and the lookup queries. Every stage reads it at
+# call time, and no output depends on it.
+BLOCK_ROWS = 8192
+
 
 @dataclass(frozen=True)
 class FluidProperties:

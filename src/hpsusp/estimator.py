@@ -29,7 +29,6 @@ __all__ = [
 
 MIN_TRACE_LEN = 16
 _FFT_SAMPLES = 65536     # window samples per batched FFT; bounds the window stack
-_BLOCK_ROWS = 8192       # rows per chain evaluation when cavitation is counted
 
 
 class NoDominantFrequencyError(NumericalError):
@@ -81,7 +80,7 @@ class ForceBreakdown:
 
     The chain is computed for a range of rows (`rows`), so no whole-trace
     copy of its channels need exist. `cavitation_count` is counted on
-    every access, _BLOCK_ROWS rows at a time.
+    every access, core.BLOCK_ROWS rows at a time.
     """
 
     trace: PressureTrace
@@ -92,8 +91,8 @@ class ForceBreakdown:
     @property
     def cavitation_count(self) -> int:
         """Samples whose annular pressure p2 is at or below zero."""
-        return sum(int(np.count_nonzero(self.rows(lo, lo + _BLOCK_ROWS).p2 <= 0.0))
-                   for lo in range(0, self.trace.n, _BLOCK_ROWS))
+        return sum(int(np.count_nonzero(self.rows(lo, lo + core.BLOCK_ROWS).p2 <= 0.0))
+                   for lo in range(0, self.trace.n, core.BLOCK_ROWS))
 
     def rows(self, lo: int = 0, hi: int | None = None) -> BreakdownRows:
         """The chain for rows lo..hi-1, from p1 rows max(lo - 2, 0)..hi-1.

@@ -15,7 +15,6 @@ import itertools
 import math
 import os
 import stat
-import types
 import warnings
 from io import TextIOWrapper
 from typing import TYPE_CHECKING
@@ -25,6 +24,7 @@ import numpy as np
 from . import metrics
 from .errors import InputError
 from .estimator import MIN_TRACE_LEN, ForceBreakdown, PressureTrace
+from . import core
 
 if TYPE_CHECKING:  # type names only: a command loads just the modules it runs
     from .lookup import SeriesEstimate
@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 _FMT = "%.17g"
-_BLOCK_ROWS = 8192      # rows per np.loadtxt call or computed at once; a stage forks at two
 _FORMAT_ROWS = 256      # rows per _csv_text call; bounds its temporaries (~300 B a value)
 _SCAN_BYTES = 1 << 20   # bytes per read of the line-counting pass
 
@@ -243,13 +242,13 @@ def _format_rows(fh, rows, lo, hi):
     """Write rows lo..hi-1 of the row-block source `rows` to binary `fh`; return their tally.
 
     rows(a, b) returns the columns of rows a..b-1 and their tally, a tuple
-    of sums over them; it is called for _BLOCK_ROWS rows at a time, so a
+    of sums over them; it is called for core.BLOCK_ROWS rows at a time, so a
     source that computes its rows holds one block of them. Each
     _FORMAT_ROWS rows are formatted at once by _csv_text.
     """
     total = 0.0
-    for a in range(lo, hi, _BLOCK_ROWS):
-        columns, tally = rows(a, min(a + _BLOCK_ROWS, hi))
+    for a in range(lo, hi, core.BLOCK_ROWS):
+        columns, tally = rows(a, min(a + core.BLOCK_ROWS, hi))
         total = total + np.array(tally, dtype=float)
         m = len(columns[0])
         for b in range(0, m, _FORMAT_ROWS):
@@ -258,16 +257,9 @@ def _format_rows(fh, rows, lo, hi):
 
 
 def _write_rows(path, header, columns):
-    """Header as csv.writer writes it, then %.17g rows ending in CRLF."""
+    """Header, then %.17g rows, as csv.writer writes them: commas, CRLF, nothing quoted."""
     _write_row_blocks(path, header, len(columns[0]),
                       lambda lo, hi: ([c[lo:hi] for c in columns], ()))
-
-
-def _header_line(header) -> bytes:
-    """The header row as csv.writer writes it, CRLF included."""
-    text = []
-    csv.writer(types.SimpleNamespace(write=text.append)).writerow(header)
-    return "".join(text).encode("utf-8")
 
 
 def _write_row_blocks(path, header, n, rows):
@@ -287,7 +279,7 @@ def _write_row_blocks(path, header, n, rows):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_header_line(header))
+            fh.write((",".join(header) + "\r\n").encode())  # names csv.writer never quotes
             total = _format_ranges(fh, rows, n)
         if tmp != out:
             if mode is not None:
@@ -343,8 +335,8 @@ def _format_ranges(fh, rows, n):
 
 
 def _workers(rows: int) -> int:
-    """Processes for a CSV stage of `rows` rows: one per CPU and _BLOCK_ROWS block at most."""
-    return min(_cpu_count() if hasattr(os, "fork") else 1, -(-rows // _BLOCK_ROWS))
+    """Processes for a CSV stage of `rows` rows: one per CPU and core.BLOCK_ROWS block at most."""
+    return min(_cpu_count() if hasattr(os, "fork") else 1, -(-rows // core.BLOCK_ROWS))
 
 
 def _forked(work, *args):
@@ -421,17 +413,21 @@ def _read_trace_csv(path, truth_columns):
                 f"got {tuple(header[:2])}")
         keep = [0, 1] + [k for k in range(2, len(header))
                          if truth_columns is None or header[k] in truth_columns]
-        steps, p, *truth = _read_columns(path, fh, reader.line_num, len(header), keep)
+        t, p, *truth = _read_columns(path, fh, reader.line_num, len(header), keep)
     if not np.all((p > 0.0) & (p < math.inf)):
         _raise_row_error(path, len(header))
     if p.size < MIN_TRACE_LEN:
         raise CsvFormatError(f"{path}: need at least {MIN_TRACE_LEN} data rows")
+    steps = t[:-1]  # t[i + 1] - t[i], written over t a block at a time: the operands overlap
+    for lo in range(0, steps.size, core.BLOCK_ROWS):
+        hi = min(lo + core.BLOCK_ROWS, steps.size)
+        np.subtract(t[lo + 1:hi + 1], t[lo:hi], out=steps[lo:hi])
     # The check is order-free, so the median may partition the steps in place.
     dt = _median(steps)
     steps -= dt
     if not dt > 0.0 or not np.all(np.abs(steps, out=steps) <= 1e-6 * dt):
         raise CsvFormatError(f"{path}: time column is not uniformly sampled")
-    del steps
+    del t, steps
     trace = PressureTrace(dt=dt, samples=p)
     return trace, {header[k]: column for k, column in zip(keep[2:], truth)}
 
@@ -451,13 +447,12 @@ def _median(x: np.ndarray) -> float:
 
 
 def _read_columns(path, fh, header_lines: int, n_fields: int, keep: list) -> list:
-    """The data rows left in `fh`: the time steps, then the fields keep[1:].
+    """The fields `keep` of the data rows left in `fh`, one column each.
 
-    keep[0] is the time column t; in its place come the steps
-    t[i + 1] - t[i], so t itself is never held. Every field is parsed,
-    _BLOCK_ROWS rows per np.loadtxt call. Each column is allocated once,
-    for an upper bound on the rows (one per line); its pages past the last
-    row are never written, so they stay out of the resident set.
+    Every field is parsed, core.BLOCK_ROWS rows per np.loadtxt call. Each
+    column is allocated once, for an upper bound on the rows (one per
+    line); its pages past the last row are never written, so they stay out
+    of the resident set.
 
     Given two workers for its lines (_workers), a forked child parses the
     second half (_parse_halves); a fault reads as in the serial parse.
@@ -469,12 +464,12 @@ def _read_columns(path, fh, header_lines: int, n_fields: int, keep: list) -> lis
         if lines > 0 and _workers(bound - header_lines) >= 2:
             n = _parse_halves(path, fh, split, lines, n_fields, keep, columns)
         else:
-            n = _parse(path, fh, n_fields, keep, columns)[0]
+            n = _parse(path, fh, n_fields, keep, columns)
     except CsvFormatError:
         raise
     except ValueError as exc:  # a row np.loadtxt rejects, a ragged row, or not UTF-8
         _raise_row_error(path, n_fields, exc)
-    return [columns[0][:max(n - 1, 0)]] + [column[:n] for column in columns[1:]]
+    return [column[:n] for column in columns]
 
 
 def _scan_lines(path) -> tuple:
@@ -517,14 +512,13 @@ def _past_line_end(buf: bytes, start: int, following: bytes):
     return i + 1 + ((buf[i + 1:i + 2] or following) == b"\n" and buf[i:i + 1] == b"\r")
 
 
-def _parse(path, lines, n_fields: int, keep: list, columns: list) -> tuple:
-    """Parse the rows of `lines` into `columns` from row 0: (rows, first t, last t).
+def _parse(path, lines, n_fields: int, keep: list, columns: list) -> int:
+    """Parse the rows of `lines` into `columns` from row 0; return their number.
 
-    columns[0] receives the time steps (see _read_columns). Raises
-    ValueError for a row np.loadtxt rejects or one without n_fields fields.
+    Raises ValueError for a row np.loadtxt rejects or one without n_fields
+    fields.
     """
-    steps, bound = columns[0], len(columns[0])
-    n, first, last = 0, None, None
+    n, bound = 0, len(columns[0])
     with warnings.catch_warnings():
         # blank lines are skipped and an empty read ends the data; the
         # header-only case is reported by the caller, not as a warning
@@ -534,28 +528,21 @@ def _parse(path, lines, n_fields: int, keep: list, columns: list) -> tuple:
                                 category=UserWarning)
         while True:
             block = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None,
-                               quotechar='"', max_rows=_BLOCK_ROWS)
+                               quotechar='"', max_rows=core.BLOCK_ROWS)
             m = len(block)
             if m and block.shape[1] != n_fields:  # loadtxt only checks rows agree
                 raise ValueError(f"rows of {block.shape[1]} fields, not {n_fields}")
             if n + m > bound:
                 raise CsvFormatError(f"{path}: file grew while it was read")
             if m:
-                t = block[:, 0]
-                if n:
-                    steps[n - 1] = t[0] - last
-                else:
-                    first = t[0]
-                np.subtract(t[1:], t[:-1], out=steps[n:n + m - 1])
-                last = t[-1]
-                for column, k in zip(columns[1:], keep[1:]):
+                for column, k in zip(columns, keep):
                     column[n:n + m] = block[:, k]
             n += m
-            if m < _BLOCK_ROWS:
-                return n, first, last
+            if m < core.BLOCK_ROWS:
+                return n
 
 
-def _parse_from(path, offset: int, n_fields: int, keep: list, columns: list) -> tuple:
+def _parse_from(path, offset: int, n_fields: int, keep: list, columns: list) -> int:
     """_parse of the lines of `path` from byte `offset`, a line start, to its end."""
     with open(path, "rb") as raw:
         raw.seek(offset)
@@ -568,39 +555,35 @@ def _parse_halves(path, fh, split: int, lines: int, n_fields: int, keep: list,
     """Parse the next `lines` lines of `fh` here, those from byte `split` in a child.
 
     The forked child (_parse_tail) parses into its copy of `columns`; its
-    rows are read in after this process's, with the step across the split.
-    A half the child did not deliver is parsed here, for its rows or its
-    fault. Returns the number of rows.
+    rows are read in after this process's. A half the child did not
+    deliver is parsed here, for its rows or its fault. Returns the number
+    of rows.
     """
     join = _forked(_parse_tail, path, split, n_fields, keep, columns)
     try:
-        n, _, last = _parse(path, itertools.islice(fh, lines), n_fields, keep, columns)
+        n = _parse(path, itertools.islice(fh, lines), n_fields, keep, columns)
     except BaseException:
         if part := join():
             part.close()
         raise
     part = join()
     if part is None:
-        m, first, _ = _parse_from(path, split, n_fields, keep, [c[n:] for c in columns])
-    else:
-        with part:
-            m, first = np.frombuffer(part.read(16))
-            m = int(m)
-            if n + m > len(columns[1]):
-                raise CsvFormatError(f"{path}: file grew while it was read")
-            for column in [columns[0][n:n + m - 1]] + [c[n:n + m] for c in columns[1:]]:
-                part.readinto(column)
-    if n and m:
-        columns[0][n - 1] = first - last
+        return n + _parse_from(path, split, n_fields, keep, [c[n:] for c in columns])
+    with part:
+        m = int.from_bytes(part.read(8), "little")
+        if n + m > len(columns[0]):
+            raise CsvFormatError(f"{path}: file grew while it was read")
+        for column in columns:
+            part.readinto(column[n:n + m])
     return n + m
 
 
 def _parse_tail(path, split: int, n_fields: int, keep: list, columns: list, fh):
-    """A forked reader's work: rows from byte `split` into `fh` (count, first t, columns)."""
-    m, first, _ = _parse_from(path, split, n_fields, keep, columns)
-    fh.write(np.array([m, first if m else 0.0]))
-    for column in [columns[0][:max(m - 1, 0)]] + [c[:m] for c in columns[1:]]:
-        fh.write(column)
+    """A forked reader's work: rows from byte `split`, their count and then columns to `fh`."""
+    m = _parse_from(path, split, n_fields, keep, columns)
+    fh.write(m.to_bytes(8, "little"))
+    for column in columns:
+        fh.write(column[:m])
 
 
 def _is_number(field: str) -> bool:

@@ -61,7 +61,6 @@ N_P = 100      # pressure axis cells
 N_DP = 200     # pressure-increment axis cells
 AXIS_PAD = 0.05
 MIN_COVERAGE = 0.30
-_BLOCK_ROWS = 4096   # samples per bilinear evaluation; bounds its temporaries
 
 
 class TableFormatError(InputError):
@@ -164,7 +163,7 @@ class SeriesEstimate:
     Each sample is queried at the blend frequency of its run; the runs are
     held as their first rows and frequencies. (f_out, v, h) are computed
     for a range of rows (`rows`), so no whole-trace copy of them need
-    exist; `h` (_BLOCK_ROWS rows at a time) and the per-sample `omega` are
+    exist; `h` (core.BLOCK_ROWS rows at a time) and the per-sample `omega` are
     built on every access, and `stats` on the first.
     """
 
@@ -194,20 +193,20 @@ class SeriesEstimate:
     @property
     def h(self) -> np.ndarray:
         out = np.empty(self.n)
-        for lo in range(0, self.n, _BLOCK_ROWS):
-            out[lo:lo + _BLOCK_ROWS] = self.rows(lo, lo + _BLOCK_ROWS).h
+        for lo in range(0, self.n, core.BLOCK_ROWS):
+            out[lo:lo + core.BLOCK_ROWS] = self.rows(lo, lo + core.BLOCK_ROWS).h
         return out
 
     def _blocks(self, lo: int, hi: int):
-        """(a, b, omega) covering rows lo..hi-1: cut at run starts, _BLOCK_ROWS at most."""
+        """(a, b, omega) covering rows lo..hi-1: cut at run starts, core.BLOCK_ROWS at most."""
         starts = self.run_starts
         first = max(int(np.searchsorted(starts, lo, side="right")) - 1, 0)
         stop = int(np.searchsorted(starts, hi))     # runs first..stop-1 meet the rows
         ends = starts[first + 1:stop + 1].tolist() + [self.n]
         for start, end, omega in zip(starts[first:stop].tolist(), ends,
                                      self.run_omegas[first:stop].tolist()):
-            for a in range(max(start, lo), min(end, hi), _BLOCK_ROWS):
-                yield a, min(a + _BLOCK_ROWS, end, hi), omega
+            for a in range(max(start, lo), min(end, hi), core.BLOCK_ROWS):
+                yield a, min(a + core.BLOCK_ROWS, end, hi), omega
 
     def rows(self, lo: int = 0, hi: int | None = None) -> LookupRows:
         """(f_out, v, h) of rows lo..hi-1; dP is read from the row before lo.

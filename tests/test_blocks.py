@@ -3,8 +3,9 @@
 The wheel-load path reads its trace in chunks, batches its window FFTs,
 and queries the table and computes the kinematic chain per row block
 inside the CSV writers; the iterative path computes its force chain
-per row block, inside the CSV writers too. Each size is patched, all at
-once, to sizes around the trace length and the blend groups, and every
+per row block, inside the CSV writers too. The one row-block size,
+core.BLOCK_ROWS, and the FFT batch are patched together to sizes
+around the trace length and the blend groups, and every
 output is compared with the unpatched run, where the trace is one block.
 """
 
@@ -62,10 +63,8 @@ def _size(case, name: str) -> int:
 
 
 def _patch(monkeypatch, rows: int) -> None:
-    monkeypatch.setattr(io, "_BLOCK_ROWS", rows)
-    monkeypatch.setattr(lookup, "_BLOCK_ROWS", rows)
+    monkeypatch.setattr(core, "BLOCK_ROWS", rows)
     monkeypatch.setattr(estimator, "_FFT_SAMPLES", rows)
-    monkeypatch.setattr(estimator, "_BLOCK_ROWS", rows)
 
 
 def _cli_outputs(d, tag: str) -> dict:
@@ -292,7 +291,7 @@ def test_each_command_computes_each_row_once_per_pass(case, monkeypatch, capsys,
     n = case["trace"].n
     monkeypatch.setattr(io, "_cpu_count", lambda: 1)  # every row in this process
     if chunk:
-        monkeypatch.setattr(io, "_BLOCK_ROWS", chunk)
+        monkeypatch.setattr(core, "BLOCK_ROWS", chunk)
     common = ["--trace", str(case["dir"] / "trace.csv"), "--table",
               str(case["dir"] / "truck.hplt"), "--preset", "mining-truck",
               "--out", str(tmp_path / "out.csv")]

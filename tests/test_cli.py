@@ -152,7 +152,7 @@ class TestExitCodes:
         out = tmp_path / "x.csv"
         code, _, err = run_cli(capsys, "simulate", "--out", str(out),
                                *(x for kv in argv.items() for x in kv))
-        assert code == 2 and f"usage error: {flag} must be" in err
+        assert code == 2 and f"usage error: argument {flag}: must be a" in err
         assert not out.exists()
 
     def test_overstroke_is_numerical_error(self, capsys, tmp_path):
@@ -484,9 +484,9 @@ class TestFlagValues:
         (("--kind", "sum-of-sines", "--freq-end", "8"),
          "--freq-end applies only to --kind linear-sweep"),
         (("--kind", "linear-sweep", "--freq-end", "nan"),
-         "--freq-end must be positive and finite"),
+         "argument --freq-end: must be a positive finite number, got 'nan'"),
         (("--kind", "linear-sweep", "--freq-end", "0"),
-         "--freq-end must be positive and finite"),
+         "argument --freq-end: must be a positive finite number, got '0'"),
     ])
     def test_freq_end_misuse_is_usage_error(self, capsys, tmp_path, argv,
                                             message):
