@@ -24,7 +24,7 @@ import numpy as np
 from . import metrics
 from .errors import InputError
 from .estimator import MIN_TRACE_LEN, ForceBreakdown, PressureTrace
-from . import core
+from . import core  # loaded by estimator; last, so the module load order is unchanged
 
 if TYPE_CHECKING:  # type names only: a command loads just the modules it runs
     from .lookup import SeriesEstimate
