@@ -483,10 +483,12 @@ class TestFlagValues:
         (("--freq-end", "8"), "--freq-end applies only to --kind linear-sweep"),
         (("--kind", "sum-of-sines", "--freq-end", "8"),
          "--freq-end applies only to --kind linear-sweep"),
-        (("--kind", "linear-sweep", "--freq-end", "nan"),
-         "argument --freq-end: must be a positive finite number, got 'nan'"),
-        (("--kind", "linear-sweep", "--freq-end", "0"),
-         "argument --freq-end: must be a positive finite number, got '0'"),
+        pytest.param(("--kind", "linear-sweep", "--freq-end", "nan"),
+                     "argument --freq-end: must be a positive finite number, got 'nan'",
+                     id="argv3---freq-end must be positive and finite"),
+        pytest.param(("--kind", "linear-sweep", "--freq-end", "0"),
+                     "argument --freq-end: must be a positive finite number, got '0'",
+                     id="argv4---freq-end must be positive and finite"),
     ])
     def test_freq_end_misuse_is_usage_error(self, capsys, tmp_path, argv,
                                             message):
