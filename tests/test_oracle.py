@@ -32,6 +32,11 @@ class TestExcitation:
             oracle.Excitation(kind="linear-sweep", amplitudes=(1e-3,),
                               frequencies=(3.0,), duration=10.0)
 
+    def test_primary_frequency_is_the_largest_magnitude_tone(self):
+        exc = oracle.Excitation(kind="sum-of-sines", amplitudes=(-0.01, 0.002),
+                                frequencies=(1.5, 12.0), duration=20.0)
+        assert exc.primary_frequency == 1.5
+
     def test_analytic_derivatives_consistent(self):
         exc = oracle.Excitation(kind="sum-of-sines", amplitudes=(2e-3, 1e-3),
                                 frequencies=(3.0, 7.0), duration=10.0)
@@ -136,6 +141,25 @@ class TestQuarterCar:
         scale = float(np.sqrt(np.mean(fine.f_tire_truth ** 2)))
         assert rms < 1e-3 * scale
 
+    # Max |Δ| of the run at DT against every fourth row of a run at DT/4, as a
+    # share of the channel's std. Measured with RK4 steps of DT/2 against
+    # DT/8 (truck preset): 8 Hz 1.14e-6, 7.43e-6, 7.11e-6; sweep 6.07e-6,
+    # 1.02e-4, 2.80e-5. The bounds give 2x headroom; a step of DT reads
+    # 7.7e-6, 1.3e-4, 7.8e-5 and 3.0e-5, 2.0e-3, 3.5e-4, over every bound.
+    @pytest.mark.parametrize("road, bounds", [
+        (oracle.Excitation(kind="sinusoid", amplitudes=(2e-3,), frequencies=(8.0,),
+                           duration=6.0), (2.5e-6, 1.5e-5, 1.5e-5)),
+        (oracle.Excitation(kind="linear-sweep", amplitudes=(5e-3,),
+                           frequencies=(0.5, 15.0), duration=60.0), (1.5e-5, 2.1e-4, 6e-5)),
+    ], ids=["criterion-8-road", "sweep-0.5-15Hz"])
+    def test_step_accuracy_against_a_quarter_step(self, truck, road, bounds):
+        run = oracle.simulate_quarter_car(road, truck.quarter_car, DT)
+        fine = oracle.simulate_quarter_car(road, truck.quarter_car, DT / 4.0)
+        for name, bound in zip(("f_tire_truth", "f_out", "p1"), bounds):
+            want = getattr(fine, name)[::4]
+            err = float(np.max(np.abs(getattr(run, name) - want)))
+            assert err < bound * float(np.std(want)), name
+
     def test_instability_detection(self, truck):
         # half-meter road input at 8 Hz drives the linkage past its geometry
         road = oracle.Excitation(kind="sinusoid", amplitudes=(0.5,),
@@ -205,7 +229,7 @@ def _reference_quarter_car(road, params, dt, duration=None):
                 w_t, (f_tire - i_sus * f_out - m_u * g) / m_u)
 
     n_out = int(round(duration / dt)) + 1
-    sub = 4
+    sub = oracle._SUBSTEPS
     h_step = dt / sub
     z_limit = 10.0 * max(delta_tire0, abs(h_static)) + 1.0
     out = np.empty((11, n_out))
@@ -300,10 +324,11 @@ class TestQuarterCarBlockwiseRoad:
                                      frequencies=(8.0,), duration=4.0)
         else:
             # a 100x longer linkage tolerates the stroke that an unstable
-            # step size (0.5 s) builds up, until the gas chamber empties
+            # RK4 step (0.125 s) builds up, until the gas chamber empties
             link = dataclasses.replace(qc.link, l_lower=100 * qc.link.l_lower,
                                        l_eff=100 * qc.link.l_eff)
-            qc, dt, duration = dataclasses.replace(qc, link=link), 0.5, None
+            dt = 0.125 * oracle._SUBSTEPS
+            qc, duration = dataclasses.replace(qc, link=link), None
             road = oracle.Excitation(kind="sinusoid", amplitudes=(2e-3,),
                                      frequencies=(1.0,), duration=200.0)
         with pytest.raises(oracle.InstabilityError, match=message) as got:
@@ -331,7 +356,7 @@ class TestQuarterCarBlockwiseRoad:
         # two stage-time arrays (step ends, midpoints), each evaluated for
         # displacement and velocity, once per block of output samples
         assert len(sizes) == 4 * -(-run.p1.size // self.BLOCK)
-        assert max(sizes) <= 4 * self.BLOCK + 1
+        assert max(sizes) <= oracle._SUBSTEPS * self.BLOCK + 1
 
     def test_memory_is_linear(self, truck):
         # tracemalloc traces every float the RK4 creates (~40x slower), so
