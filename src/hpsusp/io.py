@@ -136,10 +136,6 @@ def _digits(x):
         fast &= ((p - 1e17) + e < 0.0) & ((p - 1e16) + e >= 0.0)
     d = p.astype(np.int64)
     d += np.rint(e).astype(np.int64)
-    up = d == 10 ** 17  # rounded up to the next power of ten
-    if up.any():
-        d[up] = 10 ** 16
-        k += up
     fast &= (k >= -4) & (k <= 15)
     k[~fast] = 0
     return d, k, fast
@@ -193,8 +189,9 @@ def _csv_text(block) -> np.ndarray:
 
     Why the digits are exact. '%.17g' is correctly rounded: it writes
     D * 10**(k - 16), where k = floor(log10|x|) and D is |x| * 10**(16 - k)
-    rounded half to even, unless that rounds to 10**17, when it writes
-    10**16 * 10**(k + 1 - 16). With s = 16 - k in 0..22, 10**s is a
+    rounded half to even. D stays below 10**17: at every k = -4..15 the
+    largest double below 10**(k + 1) gives D <= 10**17 - 8, so no value
+    rounds up to the next power of ten. With s = 16 - k in 0..22, 10**s is a
     binary64 number, and Dekker's TwoProduct (Numer. Math. 18, 1971),
     over Veltkamp's split by 2**27 + 1, gives doubles p + e = |x| * 10**s
     exactly: the products stay far from overflow and underflow. The k

@@ -20,6 +20,8 @@ are fixed, so each cell is evaluated directly at its grid node.
 
 from __future__ import annotations
 
+import bisect
+import math
 import struct
 import time
 from dataclasses import dataclass
@@ -319,18 +321,19 @@ def _bracket(table: LookupTable, omega: float) -> tuple:
 
     Beyond either end both grids are the end grid (clamped). The nearest
     grid, the lower one on a tie, decides whether a query counts as
-    extrapolated.
+    extrapolated. omega is finite: `query` and `estimate_series` refuse
+    any other, and NaN would fall through both end checks.
     """
     grids = table.grids
     if omega <= grids[0].omega:
         return grids[0], grids[0], 0.0, grids[0]
     if omega >= grids[-1].omega:
         return grids[-1], grids[-1], 0.0, grids[-1]
-    for lo, hi in zip(grids[:-1], grids[1:]):
-        if lo.omega <= omega <= hi.omega:
-            w = (omega - lo.omega) / (hi.omega - lo.omega)
-            return lo, hi, w, (lo if omega - lo.omega <= hi.omega - omega else hi)
-    raise AssertionError("unreachable: grids are sorted")
+    # hi: the first grid at or above omega
+    i = bisect.bisect_left(grids, omega, key=lambda g: g.omega)
+    lo, hi = grids[i - 1], grids[i]
+    w = (omega - lo.omega) / (hi.omega - lo.omega)
+    return lo, hi, w, (lo if omega - lo.omega <= hi.omega - omega else hi)
 
 
 def _blend(bracket: tuple, nodes):
@@ -397,6 +400,9 @@ def _interpolate(table: LookupTable, omega: float, p, dp,
 def query(table: LookupTable, p: float, dp: float, omega: float,
           stats: QueryStats | None = None):
     """Single lookup: (f_out, v, h) at one pressure pair and blend frequency."""
+    if not (math.isfinite(p) and math.isfinite(dp) and math.isfinite(omega)):
+        raise ParameterError(f"query needs finite p, dp and omega, got {p!r}, {dp!r}, "
+                             f"{omega!r}")
     f_out, v, h = (float(x) for x in _interpolate(table, omega, p, dp, stats)[0])
     return f_out, v, h
 

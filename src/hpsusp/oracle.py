@@ -94,47 +94,40 @@ class Excitation:
             return 0.5 * (self.frequencies[0] + self.frequencies[1])
         return float(self.frequencies[int(np.argmax(np.abs(self.amplitudes)))])
 
-    def _phase(self, t):
+    def _tones(self, t):
+        """(amplitude, phase, phase rate, phase acceleration) of each tone at times t.
+
+        The signal is offset + sum of a * sin(phase); its derivatives follow
+        by the chain rule. A sweep is one tone whose phase rate ramps.
+        """
         if self.kind == "linear-sweep":
             f0, f1 = self.frequencies
-            return 2.0 * np.pi * (f0 * t + (f1 - f0) * t ** 2 / (2.0 * self.duration))
-        return None
+            df_dt = (f1 - f0) / self.duration
+            phase = 2.0 * np.pi * (f0 * t + (f1 - f0) * t ** 2 / (2.0 * self.duration))
+            return [(self.amplitudes[0], phase + self.phases[0],
+                     2.0 * np.pi * (f0 + df_dt * t), 2.0 * np.pi * df_dt)]
+        return [(a, 2.0 * np.pi * f * t + ph, 2.0 * np.pi * f, 0.0)
+                for a, f, ph in zip(self.amplitudes, self.frequencies, self.phases)]
 
     def displacement(self, t):
         t = np.asarray(t, dtype=float)
-        if self.kind == "linear-sweep":
-            return self.offset + self.amplitudes[0] * np.sin(self._phase(t) + self.phases[0])
         out = np.full_like(t, self.offset)
-        for a, f, ph in zip(self.amplitudes, self.frequencies, self.phases):
-            out = out + a * np.sin(2.0 * np.pi * f * t + ph)
+        for a, phase, _, _ in self._tones(t):
+            out = out + a * np.sin(phase)
         return out
 
     def velocity(self, t):
         t = np.asarray(t, dtype=float)
-        if self.kind == "linear-sweep":
-            f0, f1 = self.frequencies
-            f_inst = f0 + (f1 - f0) * t / self.duration
-            return self.amplitudes[0] * 2.0 * np.pi * f_inst * np.cos(self._phase(t) + self.phases[0])
         out = np.zeros_like(t)
-        for a, f, ph in zip(self.amplitudes, self.frequencies, self.phases):
-            w = 2.0 * np.pi * f
-            out = out + a * w * np.cos(w * t + ph)
+        for a, phase, rate, _ in self._tones(t):
+            out = out + a * rate * np.cos(phase)
         return out
 
     def acceleration(self, t):
         t = np.asarray(t, dtype=float)
-        if self.kind == "linear-sweep":
-            f0, f1 = self.frequencies
-            df_dt = (f1 - f0) / self.duration
-            f_inst = f0 + df_dt * t
-            ph = self._phase(t) + self.phases[0]
-            a0 = self.amplitudes[0]
-            return a0 * (2.0 * np.pi * df_dt * np.cos(ph)
-                         - (2.0 * np.pi * f_inst) ** 2 * np.sin(ph))
         out = np.zeros_like(t)
-        for a, f, ph in zip(self.amplitudes, self.frequencies, self.phases):
-            w = 2.0 * np.pi * f
-            out = out - a * w * w * np.sin(w * t + ph)
+        for a, phase, rate, rate_dot in self._tones(t):
+            out = out + (a * rate_dot * np.cos(phase) - a * rate * rate * np.sin(phase))
         return out
 
 

@@ -69,12 +69,13 @@ class ValidationContext:
             self._cache[key] = lookup.build_table(cfg, settings)
         return self._cache[key]
 
-    def bench_trace(self, freq_hz: float, cfg=None, amp=None) -> oracle.OracleTrace:
+    def bench_trace(self, freq_hz: float, cfg=None) -> oracle.OracleTrace:
+        """The bench unit (default: bench30) on a sinusoid at freq_hz, 20 s or
+        20 cycles; the amplitude is BENCH_AMPS_MM's, else 7.5 mm cut as 5/f above 5 Hz."""
         cfg = cfg or self.bench30
-        key = ("trace", freq_hz, id(cfg), amp)
+        key = ("trace", freq_hz, id(cfg))
         if key not in self._cache:
-            if amp is None:
-                amp = BENCH_AMPS_MM.get(freq_hz, 7.5 * min(1.0, 5.0 / freq_hz)) * 1e-3
+            amp = BENCH_AMPS_MM.get(freq_hz, 7.5 * min(1.0, 5.0 / freq_hz)) * 1e-3
             exc = oracle.Excitation(kind="sinusoid", amplitudes=(amp,),
                                     frequencies=(freq_hz,),
                                     duration=max(20.0 / freq_hz, 20.0))
@@ -117,8 +118,7 @@ def criterion_2(ctx: ValidationContext) -> CriterionResult:
     details, ok = [], True
     for label, cfg, table_key in (("30C", ctx.bench30, "bench30"),
                                   ("50C", ctx.bench50, "bench50")):
-        trace = ctx.bench_trace(HOLDOUT_FREQ, cfg=cfg,
-                                amp=7.5 * min(1.0, 5.0 / HOLDOUT_FREQ) * 1e-3)
+        trace = ctx.bench_trace(HOLDOUT_FREQ, cfg=cfg)
         f_out = lookup.estimate_series(trace.to_pressure_trace(), ctx.table(table_key),
                                        omega=2.0 * math.pi * HOLDOUT_FREQ).rows().f_out
         rel = metrics.rel_rmse(f_out, trace.f_out)
@@ -324,8 +324,7 @@ def criterion_12(ctx: ValidationContext) -> CriterionResult:
     link = ctx.truck.linkage
     worst = 0.0
     for f in BENCH_FREQS:
-        amp = BENCH_AMPS_MM[f] * 1e-3
-        trace = ctx.bench_trace(f, cfg=ctx.bench30, amp=amp)
+        trace = ctx.bench_trace(f)
         h_sus = trace.h - trace.h.mean()
         v = trace.v
         a_sus = core.differentiate(v, DT)

@@ -7,6 +7,7 @@ import dataclasses
 import inspect
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -129,7 +130,12 @@ class TestExitCodes:
             "flat axis": replace(bench_table, grids=tuple(
                 replace(g, p_max=g.p_min) for g in grids)),
         }
+        whole, head = lookup.serialize(bench_table), lookup._HEADER.size
         blobs = {"junk": b"NOPE" + b"\x00" * 64,
+                 "short header": whole[:head - 1],
+                 "short, bad magic": b"HPLX" + whole[4:head - 1],
+                 "version": whole[:4] + struct.pack("<I", lookup.VERSION + 1) + whole[8:],
+                 "grid header": whole[:head + lookup._GRID_HEADER.size - 1],
                  **{name: lookup.serialize(t) for name, t in tables.items()}}
         for name, data in blobs.items():
             blob = tmp_path / "junk.hplt"
@@ -651,6 +657,18 @@ def test_lookup_mode_omega_defaults_to_auto(capsys, trace_file, table_file,
     (("estimate",), "suspension.rho_kgpm3 = -1", "density"),
     (("estimate",), "suspension.t0_c = -300", "above -273.15 degC"),
     (("estimate", "--t0", "1e6"), None, "viscosity"),
+    (("estimate",), "linkage.l_eff_m = 5", "need l_lower > l_eff > 0"),
+    (("estimate",), "linkage.alpha0_rad = 0.8", "installation angle out of range"),
+    (("estimate",), "linkage.m_u_kg = 0", "masses must be positive"),
+    (("estimate",), "suspension.p_atm_pa = 0", "atmospheric pressure must be positive"),
+    (("estimate",), "suspension.a_ch_m2 = 0", "coefficients must be positive"),
+    (("estimate",), "suspension.a3_m2 = 1", "annular area a3 must equal a1 - a2"),
+    (("estimate",), "suspension.h_gap_m = 1", "radial clearance must be small"),
+    (("estimate",), "suspension.p0_pa = 0", "charge pressure must be positive"),
+    (("estimate",), "suspension.omega_c_radps = 0", "corner frequency must be positive"),
+    (("estimate",), "suspension.f_coulomb_n = -1", "need f_static >= f_coulomb >= 0"),
+    (("estimate",), "suspension.v_stribeck_mps = 0", "v_stribeck and beta_fric must be"),
+    (("estimate",), "suspension.use_alg1_friction = maybe", "expected a boolean, got 'maybe'"),
 ])
 def test_non_finite_or_unphysical_number_is_usage_error(capsys, trace_file,
                                                          tmp_path, argv,
@@ -667,6 +685,19 @@ def test_non_finite_or_unphysical_number_is_usage_error(capsys, trace_file,
     if cfg_line is not None:
         assert f"config error: {cfg}" in err
     assert not out.exists()
+
+
+def test_failed_criterion_exits_5_after_the_summary(capsys, monkeypatch):
+    from hpsusp import validate
+    results = [validate.CriterionResult(1, "holds", True, "0.1% (<2%)"),
+               validate.CriterionResult(2, "misses", False, "9.9% (<4.5%)")]
+    monkeypatch.setattr(validate, "run_all", lambda: results)
+    code, out, err = run_cli(capsys, "validate")
+    assert code == cli.EXIT_VALIDATION == 5 and err == ""
+    assert out.splitlines() == [
+        "criterion  1 [PASS] holds: 0.1% (<2%)",
+        "criterion  2 [FAIL] misses: 9.9% (<4.5%)",
+        "1/2 criteria passed"]
 
 
 # A missing table would exit 3: exit 2 shows the check runs before any work.

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import csv
+import math
 import os
 import re
 import signal
 import stat
 import threading
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -521,7 +524,28 @@ class TestCsvText:
                           9999999999999998.0, 1e16 + 2.0, 99999999999999984.0, 1e17,
                           0.5, 1.0, 100.0, 3600.0, 1e15, 123456789012345678.0])
         x = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf), edges])
-        _assert_text_equal(np.concatenate([x, -x]), cols=3)
+        x = np.concatenate([x, -x])
+        # log10 misjudges some of them, so the kernel's exponent step runs
+        fixed = (np.abs(x) >= 1e-4) & (np.abs(x) < 1e16)
+        exact_k = np.array([Decimal(v).adjusted() for v in x[fixed]])
+        assert np.any(np.floor(np.log10(np.abs(x[fixed]))) != exact_k)
+        assert np.array_equal(io._digits(x[fixed])[1], exact_k)
+        # repeated up to a block the kernel formats, not '%.17g'
+        block = np.resize(x, 3 * (io._KERNEL_VALUES // 3 + 1))
+        _assert_text_equal(block, cols=3, rows=block.size)
+
+    def test_seventeen_digits_stay_below_ten_to_the_seventeen(self):
+        # The largest double below 10**(k + 1) has the largest D at exponent k;
+        # it rounds to at most 10**17 - 8, so D never rounds up out of its decade.
+        for k in range(-4, 16):
+            top = Fraction(10) ** (k + 1)
+            x = float(top)
+            if Fraction(x) >= top:
+                x = math.nextafter(x, 0.0)
+            d = round(Fraction(x) * Fraction(10) ** (16 - k))
+            assert 10 ** 17 - d >= 8, k
+            got_d, got_k, fast = io._digits(np.array([x]))
+            assert (int(got_d[0]), int(got_k[0]), bool(fast[0])) == (d, k, True), k
 
     def test_float32_and_small_blocks(self):
         rng = np.random.default_rng(19)

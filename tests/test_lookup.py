@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from hpsusp import config, core, estimator, lookup, metrics, oracle
+from hpsusp.errors import ParameterError
 
 DT = 1.0 / 360.0
 
@@ -220,6 +221,16 @@ class TestQuery:
         edge = lookup.query(bench_table, g.p_min, 0.0, g.omega)
         assert lo == edge
         assert stats.p_clamped == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("arg", ["p", "dp", "omega"])
+    def test_non_finite_input_is_parameter_error(self, bench_table, arg, bad):
+        # a NaN omega would pass both end checks of the grid bracket
+        g = bench_table.grids[1]
+        args = {"p": 0.5 * (g.p_min + g.p_max), "dp": 0.0, "omega": g.omega}
+        args[arg] = bad
+        with pytest.raises(ParameterError, match="finite p, dp and omega"):
+            lookup.query(bench_table, **args)
 
 
 class TestEstimateSeries:

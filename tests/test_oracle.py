@@ -38,16 +38,22 @@ class TestExcitation:
         assert exc.primary_frequency == 1.5
 
     def test_analytic_derivatives_consistent(self):
-        exc = oracle.Excitation(kind="sum-of-sines", amplitudes=(2e-3, 1e-3),
-                                frequencies=(3.0, 7.0), duration=10.0)
-        t = np.linspace(0.5, 9.5, 2001)
+        # every kind's tones: fixed phase rates, and a sweep's ramping one.
+        # The sweep's phase-acceleration term is 1.6e-3 of its peak
+        # acceleration; on this grid the central difference errs by ~1e-6.
+        t = np.linspace(0.5, 9.5, 180001)
         dt = t[1] - t[0]
-        num_v = np.gradient(exc.displacement(t), dt)[2:-2]
-        v = exc.velocity(t)[2:-2]
-        assert np.allclose(num_v, v, atol=1e-2 * np.max(np.abs(v)))
-        num_a = np.gradient(exc.velocity(t), dt)[2:-2]
-        a = exc.acceleration(t)[2:-2]
-        assert np.allclose(num_a, a, atol=1e-2 * np.max(np.abs(a)))
+        for exc in (oracle.Excitation(kind="sum-of-sines", amplitudes=(2e-3, 1e-3),
+                                      frequencies=(3.0, 7.0), duration=10.0),
+                    oracle.Excitation(kind="linear-sweep", amplitudes=(2e-3,),
+                                      frequencies=(2.0, 8.0), duration=10.0,
+                                      phases=(0.7,), offset=0.01)):
+            num_v = np.gradient(exc.displacement(t), dt)[2:-2]
+            v = exc.velocity(t)[2:-2]
+            assert np.allclose(num_v, v, rtol=0.0, atol=1e-5 * np.max(np.abs(v))), exc.kind
+            num_a = np.gradient(exc.velocity(t), dt)[2:-2]
+            a = exc.acceleration(t)[2:-2]
+            assert np.allclose(num_a, a, rtol=0.0, atol=1e-5 * np.max(np.abs(a))), exc.kind
 
 
 class TestSimulateSuspension:
