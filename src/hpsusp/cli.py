@@ -126,6 +126,8 @@ def cmd_estimate(args) -> int:
         est = estimator.run(trace, cfg.suspension)
         sse = io.write_breakdown_csv(args.out, trace, est, truth)
     print(f"wrote {args.out}")
+    if args.mode == "iterative":
+        print(f"frequency {est.f_peak:g} Hz, n_eff {est.n_eff:.4f}")
     if truth is not None:
         _print_truth_comparison(lambda: f"rel RMSE {metrics.rel_rmse_sse(sse, truth):.3%}, "
                                         f"R2 {metrics.r_squared_sse(sse, truth):.4f}")

@@ -1,9 +1,9 @@
 """Iterative suspension-force estimator driven by the gas-pressure signal.
 
-Pipeline: identify the dominant excitation frequency from the pressure
-spectrum, fix the effective polytropic index, then reconstruct per sample
-the gas volume/displacement, piston velocity and flow, the hydraulic
-pressure-drop chain, friction, and the total output force.
+Pipeline: identify the dominant excitation frequency from the spectra of
+1 s pressure windows, fix the effective polytropic index, then reconstruct
+per sample the gas volume/displacement, piston velocity and flow, the
+hydraulic pressure-drop chain, friction, and the total output force.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "ForceBreakdown",
     "NoDominantFrequencyError",
     "estimate_peak_frequency",
+    "tracked_frequencies",
     "window_peak_frequencies",
     "run",
 ]
@@ -129,47 +130,9 @@ class ForceBreakdown:
                              h_total=h_total, a=a[s])
 
 
-def _largest_prime_factor(n: int) -> int:
-    p, f = 1, 2
-    while f * f <= n:
-        while n % f == 0:
-            p, n = f, n // f
-        f += 1
-    return max(p, n)
-
-
-def _spectrum(segs: np.ndarray) -> np.ndarray:
-    """np.abs(np.fft.rfft(segs, axis=1)): DFT magnitudes, bins 0..n//2 of each row.
-
-    NumPy's pocketfft computes a length n whose largest prime factor p has
-    p * p > n by Bluestein's algorithm, whose padded work arrays cost
-    ~150 B per sample (108 001 = 17 * 6353). For such an n that is not
-    prime, the same DFT is one Cooley-Tukey step n = n1 * p, n1 < sqrt(n),
-    with no padded arrays: with the signal as n1 rows of p, real
-    length-n1 FFTs down the columns (a real signal's rows k1 > n1/2 are
-    the conjugates of rows n1 - k1), then per row k1 the twiddles and a
-    length-p FFT give bins k1 + n1 * k2. Every other length keeps the
-    single rfft.
-    """
-    m, n = segs.shape
-    p = _largest_prime_factor(n)
-    if p * p <= n or p == n:
-        return np.abs(np.fft.rfft(segs, axis=1))
-    n1 = n // p
-    columns = np.fft.rfft(segs.reshape(m, n1, p), axis=1)
-    spectrum = np.empty((m, n // 2 + 1))
-    twiddle = (-2j * np.pi / n) * np.arange(p)
-    for k1 in range(n1):
-        col = columns[:, k1] if 2 * k1 <= n1 else columns[:, n1 - k1].conj()
-        bins = spectrum[:, k1::n1]
-        row = np.fft.fft(col * np.exp(k1 * twiddle), axis=1)
-        np.abs(row[:, :bins.shape[1]], out=bins)
-    return spectrum
-
-
 def window_peak_frequencies(samples: np.ndarray, dt: float, win: int,
                             hop: int) -> tuple:
-    """Dominant frequency of each window of a signal, from one batched FFT.
+    """Dominant frequency of each window of a signal, from batched FFTs.
 
     Windows of win samples start every hop samples; the last one is clamped
     to end at the final sample, and a signal shorter than win is one window
@@ -193,7 +156,7 @@ def window_peak_frequencies(samples: np.ndarray, dt: float, win: int,
     for a in range(0, starts.size, batch):
         segs = windows[starts[a:a + batch]]
         segs -= segs.mean(axis=1, keepdims=True)
-        spectrum = _spectrum(segs)
+        spectrum = np.abs(np.fft.rfft(segs, axis=1))
         spectrum[:, 0] = 0.0
         live[a:a + batch] = np.any(spectrum > threshold, axis=1)
         k[a:a + batch] = np.argmax(spectrum, axis=1)
@@ -204,10 +167,23 @@ def window_peak_frequencies(samples: np.ndarray, dt: float, win: int,
     return starts, win, k[source] / (win * dt)
 
 
+def tracked_frequencies(samples: np.ndarray, dt: float) -> tuple:
+    """The frequency tracker: window_peak_frequencies, 1 s windows every 0.5 s.
+
+    Both estimators read their frequency from it: auto-ω blends each
+    window's, and the iterative path takes their lower median.
+    """
+    win = max(round(1.0 / dt), MIN_TRACE_LEN)
+    return window_peak_frequencies(samples, dt, win, win // 2)
+
+
 def estimate_peak_frequency(trace: PressureTrace) -> float:
-    """Frequency of the largest non-DC DFT bin of the mean-removed signal."""
-    _, _, freqs = window_peak_frequencies(trace.samples, trace.dt, trace.n, trace.n)
-    return float(freqs[0])
+    """Lower median of the tracked window frequencies: always one of them.
+
+    np.median is not used, since its first call imports numpy.ma.
+    """
+    _, _, freqs = tracked_frequencies(trace.samples, trace.dt)
+    return float(np.sort(freqs)[(freqs.size - 1) // 2])
 
 
 def run(trace: PressureTrace, cfg: SuspensionConfig,

@@ -175,6 +175,7 @@ class TestWorkflows:
                                 "--out", str(out))
         assert code == 0
         assert "rel RMSE" in text and "R2" in text
+        assert "frequency 5 Hz, n_eff 1." in text  # the tracked frequency and its index
         data = np.genfromtxt(out, delimiter=",", names=True)
         np.testing.assert_allclose(
             data["f_gas_n"] + data["f_damp_n"] + data["f_fric_n"],
